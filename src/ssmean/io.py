@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,40 @@ def _parse_cell(token: str, line_num: int, column: str) -> float:
     return value
 
 
-def _read_matrix(path: str | Path, min_columns: int) -> tuple[list[str], np.ndarray]:
+def _scan_rows(reader, header: list[str], path: Path) -> np.ndarray:
+    """Parse the body cell by cell, raising on the first bad line and column."""
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {reader.line_num} has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
+        rows.append(
+            [_parse_cell(cell, reader.line_num, header[j]) for j, cell in enumerate(row)]
+        )
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
+def _read_matrix(
+    path: str | Path, min_columns: int, expected_names: list[str] | None = None
+) -> tuple[list[str], np.ndarray]:
+    """Read the header with csv, then the body with numpy's C parser.
+
+    numpy takes a subset of what the per-cell parser accepts (no quotes,
+    underscores or non-ASCII digits) and gives the same doubles, so when it
+    rejects the body, or the body has the wrong width, no rows or a
+    non-finite cell, the per-cell parser rescans the file: it either accepts
+    it or names the first bad line and column.
+    """
     path = Path(path)
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -55,24 +86,31 @@ def _read_matrix(path: str | Path, min_columns: int) -> tuple[list[str], np.ndar
             raise DataError(
                 f"{path}: header must name at least {min_columns} non-empty column(s)"
             )
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            rows.append(
-                [
-                    _parse_cell(cell, reader.line_num, header[j])
-                    for j, cell in enumerate(row)
-                ]
+        if expected_names is not None and header != list(expected_names):
+            raise DataError(
+                f"{path}: feature columns {header} do not match the labeled file's "
+                f"feature columns {list(expected_names)}"
             )
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return header, np.array(rows, dtype=float)
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as "no data rows"
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                matrix = np.loadtxt(
+                    handle, delimiter=",", comments=None, ndmin=2, dtype=float
+                )
+        except ValueError:
+            matrix = None
+        if (
+            matrix is None
+            or matrix.shape[0] == 0
+            or matrix.shape[1] != len(header)
+            or not np.isfinite(matrix).all()
+        ):
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)  # the header, checked above
+            matrix = _scan_rows(reader, header, path)
+    return header, matrix
 
 
 def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -87,13 +125,12 @@ def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str
 def load_unlabeled_csv(
     path: str | Path, expected_names: list[str] | None = None
 ) -> tuple[np.ndarray, list[str]]:
-    """Read a features-only CSV, optionally checking the header names/order."""
-    header, matrix = _read_matrix(path, min_columns=1)
-    if expected_names is not None and header != list(expected_names):
-        raise DataError(
-            f"{path}: feature columns {header} do not match the labeled file's "
-            f"feature columns {list(expected_names)}"
-        )
+    """Read a features-only CSV, optionally checking the header names/order.
+
+    A header that does not match ``expected_names`` is rejected before the
+    body is read.
+    """
+    header, matrix = _read_matrix(path, min_columns=1, expected_names=expected_names)
     return matrix, header
 
 

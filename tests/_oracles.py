@@ -2,7 +2,12 @@
 
 These deliberately avoid the library's sampling path: densities come from
 scipy.stats and the convolution is evaluated by FFT on a trapezoid grid.
+The CSV reference parses every cell with a plain ``float()``.
 """
+
+import csv
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -38,3 +43,39 @@ def convolution_quantiles(comp_a, comp_b, qs):
     cdf = cumulative_trapezoid(conv, dx=step, initial=0.0)
     cdf /= cdf[-1]
     return [float(np.interp(q, cdf, xs)) for q in qs]
+
+
+class CsvReference(NamedTuple):
+    """A CSV read cell by cell: the matrix, or where the first bad row is."""
+
+    matrix: np.ndarray | None
+    bad_line: int | None = None
+    bad_column: str | None = None  # None when the row has the wrong width
+
+
+def read_csv_reference(path):
+    """Read a CSV body with ``csv`` and ``float()`` per cell, blank rows skipped.
+
+    The header is the first row; a body row is bad when its width differs
+    from the header's or a cell is not a finite ``float()``.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = [name.strip() for name in next(reader)]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                return CsvReference(None, reader.line_num)
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    return CsvReference(None, reader.line_num, name)
+                values.append(value)
+            rows.append(values)
+    return CsvReference(np.array(rows, dtype=float).reshape(len(rows), len(header)))

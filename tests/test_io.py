@@ -1,0 +1,194 @@
+"""CSV ingest: the numpy fast path must accept and reject exactly what the
+per-cell ``float()`` reading accepts and rejects, naming the same line and column."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ssmean.io
+from _oracles import read_csv_reference
+from ssmean.errors import DataError, ValidationError
+from ssmean.io import load_labeled_csv, load_unlabeled_csv
+
+
+def _write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _same_matrix(matrix, reference):
+    assert matrix.dtype == np.float64
+    assert matrix.shape == reference.shape
+    assert matrix.tobytes() == reference.tobytes()
+
+
+def _assert_rejected_at(path, line, column):
+    """A bad cell is a ValidationError naming line and column; a bad width, a DataError."""
+    exc_type = DataError if column is None else ValidationError
+    with pytest.raises(exc_type) as info:
+        load_unlabeled_csv(path)
+    assert type(info.value) is exc_type
+    where = f"line {line} has" if column is None else f"line {line}, column {column!r}"
+    assert where in str(info.value)
+
+
+OK = None
+
+
+def bad_cell(line, column):
+    return line, column
+
+
+def bad_width(line):
+    return line, None
+
+
+def rejected(message):
+    return (message,)
+
+
+# (id, file text, expected): OK means "equals the per-cell reference"
+EDGE_CASES = [
+    ("plain", "a,b\n1,2\n3,4\n", OK),
+    ("crlf", "a,b\r\n1,2\r\n3,4\r\n", OK),
+    ("cr_only", "a,b\r1,2\r3,4\r", OK),
+    ("no_final_newline", "a,b\n1,2\n3,4", OK),
+    ("blank_lines", "a,b\n\n1,2\n\n\n3,4\n\n", OK),
+    ("blank_crlf_lines", "a,b\r\n\r\n1,2\r\n\r\n3,4\r\n", OK),
+    ("padded_cells", "a,b\n 1 ,\t2\t\n", OK),
+    ("unicode_whitespace", "a,b\n\xa01\x0b,2\x0c\n", OK),
+    ("quoted_cells", 'a,b\n"1",2\n', OK),
+    ("quoted_newline", 'a,b\n1,2\n"3\n",4\n', OK),
+    ("underscore", "a,b\n1_0,2\n", OK),
+    ("unicode_digits", "a,b\n\u0661\u0662,2\n", OK),
+    ("signs_and_exponents", "a,b\n+1,-.5\n1.,1E+5\n", OK),
+    ("negative_zero", "a,b\n-0,0\n-0.0,1\n", OK),
+    ("long_mantissa", "a,b\n0.1000000000000000055511151231257827,2.2250738585072014e-308\n", OK),
+    ("subnormal", "a,b\n4.9e-324,1e-320\n", OK),
+    ("single_column", "a\n1\n2\n", OK),
+    ("bom", "\ufeffa,b\n1,2\n", OK),
+    ("whitespace_line", "a,b\n1,2\n  \n3,4\n", bad_width(3)),
+    ("tab_line", "a,b\n1,2\n\t\n", bad_width(3)),
+    ("comment_line", "a,b\n# note\n1,2\n", bad_width(2)),
+    ("short_row", "a,b\n1,2\n3\n", bad_width(3)),
+    ("long_row", "a,b\n1,2\n3,4,5\n", bad_width(3)),
+    ("trailing_comma", "a,b\n1,2,\n", bad_width(2)),
+    ("every_row_too_wide", "a,b\n1,2,3\n4,5,6\n", bad_width(2)),
+    ("quoted_comma", 'a,b\n"1,5",2\n', bad_cell(2, "a")),
+    ("quoted_newline_bad", 'a,b\n"x\n",1\n2,3\n', bad_cell(3, "a")),
+    ("hash_cell", "a,b\n1,#2\n", bad_cell(2, "b")),
+    ("overflow", "a,b\n1,2\n1e400,1\n", bad_cell(3, "a")),
+    ("infinity", "a,b\n1,-Infinity\n", bad_cell(2, "b")),
+    ("nan", "a,b\n1,2\n3,nan\n", bad_cell(3, "b")),
+    ("hex", "a,b\n0x10,2\n", bad_cell(2, "a")),
+    ("empty_cell", "a,b\n1,\n", bad_cell(2, "b")),
+    ("garbage", "a,b\n1,2\n2,zap\n", bad_cell(3, "b")),
+    ("nul", "a,b\n1,2\x00\n", bad_cell(2, "b")),
+    ("single_column_blank_cell", "a\n1\n \n", bad_cell(3, "a")),
+    ("header_only", "a,b\n", rejected("no data rows")),
+    ("blank_body", "a,b\n\n\r\n", rejected("no data rows")),
+    ("single_column_header_only", "a\n", rejected("no data rows")),
+    ("empty_file", "", rejected("file is empty")),
+    ("blank_header", "\na,b\n1,2\n", rejected("header must name")),
+    ("empty_header_name", "a,,b\n1,2,3\n", rejected("header must name")),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES]
+)
+def test_edge_case_matches_per_cell_reference(tmp_path, text, expected):
+    path = _write(tmp_path / "u.csv", text)
+    if expected is OK:
+        matrix, header = load_unlabeled_csv(path)
+        _same_matrix(matrix, read_csv_reference(path).matrix)
+        assert header == (["a"] if text.startswith("a\n") else ["a", "b"])
+        return
+    if len(expected) == 1:
+        with pytest.raises(DataError, match=expected[0]):
+            load_unlabeled_csv(path)
+        return
+    reference = read_csv_reference(path)
+    assert (reference.bad_line, reference.bad_column) == expected
+    _assert_rejected_at(path, *expected)
+
+
+_JUNK_CELL = st.text(alphabet="0123456789.eE+-_ \"infatyx", max_size=6)
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    _JUNK_CELL,
+)
+_ROW = st.one_of(
+    st.lists(_CELL, min_size=2, max_size=2),
+    st.lists(_CELL, min_size=0, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(_ROW, min_size=0, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_reader_agrees_with_per_cell_reference(tmp_path_factory, rows, newline):
+    body = newline.join(",".join(row) for row in rows)
+    path = _write(tmp_path_factory.mktemp("csv") / "u.csv", "a,b" + newline + body)
+    reference = read_csv_reference(path)
+    if reference.matrix is not None and reference.matrix.shape[0] > 0:
+        matrix, _ = load_unlabeled_csv(path)
+        _same_matrix(matrix, reference.matrix)
+    elif reference.matrix is not None:
+        with pytest.raises(DataError, match="no data rows"):
+            load_unlabeled_csv(path)
+    else:
+        _assert_rejected_at(path, reference.bad_line, reference.bad_column)
+
+
+def test_bad_cell_deep_in_a_large_file_is_named(tmp_path):
+    lines = ["a,b"] + [f"{i},{i / 7!r}" for i in range(50_000)]
+    lines[40_000] = "40000,oops"  # line 40001 of the file: the header is line 1
+    path = _write(tmp_path / "u.csv", "\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="line 40001, column 'b'"):
+        load_unlabeled_csv(path)
+
+
+def test_clean_file_skips_per_cell_parser(tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("per-cell parser ran on a clean file")
+
+    monkeypatch.setattr(ssmean.io, "_scan_rows", fail)
+    path = _write(tmp_path / "u.csv", "a,b\r\n1,2\r\n\r\n3.5,-4e-3\r\n")
+    matrix, _ = load_unlabeled_csv(path)
+    assert matrix.tolist() == [[1.0, 2.0], [3.5, -4e-3]]
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+def test_empty_body_raises_without_warning(tmp_path, body):
+    path = _write(tmp_path / "u.csv", "a,b\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no data rows"):
+            load_unlabeled_csv(path)
+
+
+def test_byte_order_mark_files_load_and_match(tmp_path):
+    labeled = _write(tmp_path / "l.csv", "\ufeffy,x1,x2\n1,0,0.5\n2,1,1.5\n")
+    unlabeled = _write(tmp_path / "u.csv", "\ufeffx1,x2\n3,4\n")
+    outcomes, features, names = load_labeled_csv(labeled)
+    assert names == ["x1", "x2"]
+    assert outcomes.tolist() == [1.0, 2.0]
+    assert features.tolist() == [[0.0, 0.5], [1.0, 1.5]]
+    matrix, header = load_unlabeled_csv(unlabeled, expected_names=names)
+    assert header == ["x1", "x2"]
+    assert matrix.tolist() == [[3.0, 4.0]]
+
+
+def test_header_names_checked_before_body(tmp_path):
+    # the body is bad too: the name mismatch must be what is reported
+    path = _write(tmp_path / "u.csv", "x2,x1\n1,zap\n")
+    with pytest.raises(DataError, match="do not match") as info:
+        load_unlabeled_csv(path, expected_names=["x1", "x2"])
+    assert type(info.value) is DataError
