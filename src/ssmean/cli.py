@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .data import Dataset, validate_dataset
 from .errors import ConfigError, DataError, NumericalError, SsmeanError
 from .io import load_labeled_csv, load_unlabeled_csv, write_json_atomic, write_text_atomic
@@ -378,7 +379,7 @@ def cmd_simulate(config: RunConfig) -> Path:
         emit_density_data(results, config.density_out)
     star = "" if table.ore_star is None else f", achievable oracle RE {table.ore_star:.3f}"
     print(
-        f"simulate: {design.reps} replications in {elapsed:.1f}s; "
+        f"simulate: {design.reps} replications in {elapsed:.1f}s ({_blas.describe()}); "
         f"oracle RE {table.ore:.3f}{star}",
         file=sys.stderr,
     )
@@ -420,12 +421,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = parse_config(args.command, args.config, overrides)
-        if args.command == "estimate":
-            out = cmd_estimate(config)
-        elif args.command == "compare":
-            out = cmd_compare(config)
-        else:
-            out = cmd_simulate(config)
+        with _blas.one_thread():
+            if args.command == "estimate":
+                out = cmd_estimate(config)
+            elif args.command == "compare":
+                out = cmd_compare(config)
+            else:
+                out = cmd_simulate(config)
         print(str(out))
         return 0
     except ConfigError as exc:

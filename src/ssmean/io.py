@@ -58,6 +58,23 @@ def _scan_rows(reader, header: list[str], path: Path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _not_utf8(path: Path) -> DataError:
+    """Name the line of the first byte that is not UTF-8.
+
+    The text layer decodes in chunks, so where the decoder failed says
+    nothing about the line: the file is decoded again as a whole.
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        # csv counts \n, \r and \r\n as one line end each
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return DataError(f"{path}: line {line} is not valid UTF-8 (byte 0x{raw[exc.start]:02x})")
+    return DataError(f"{path}: not valid UTF-8")
+
+
 def _read_matrix(
     path: str | Path, min_columns: int, expected_names: list[str] | None = None
 ) -> tuple[list[str], np.ndarray]:
@@ -81,6 +98,8 @@ def _read_matrix(
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         header = [name.strip() for name in header]
         if len(header) < min_columns or any(not name for name in header):
             raise DataError(
@@ -109,7 +128,10 @@ def _read_matrix(
             handle.seek(0)
             reader = csv.reader(handle)
             next(reader)  # the header, checked above
-            matrix = _scan_rows(reader, header, path)
+            try:
+                matrix = _scan_rows(reader, header, path)
+            except UnicodeDecodeError:
+                raise _not_utf8(path) from None
     return header, matrix
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .data import Dataset
 from .errors import InvalidParameterError, SsmeanError
 from .estimators import (
@@ -351,7 +352,8 @@ def run_replications(
 
     Deterministic for a fixed seed: replication r always uses the substream
     keyed by r, and records are reduced in replication order whatever the
-    worker count.
+    worker count.  Workers run BLAS on one thread unless OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS is set; with ``jobs=1`` the caller's count is kept.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
@@ -359,7 +361,7 @@ def run_replications(
     if jobs == 1 or design.reps == 1:
         records = [_replicate(design, r, keep_draws) for r in range(design.reps)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_blas.set_one_thread) as pool:
             records = list(
                 pool.map(
                     _replicate,

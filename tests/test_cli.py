@@ -167,6 +167,13 @@ class TestEstimateCommand:
         code = main(["estimate", "--labeled", labeled, "--method", "sup"])
         assert code == 3
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        labeled = tmp_path / "l.csv"
+        labeled.write_bytes(b"a,b\n1,2\n3,\xff\n")  # a Latin-1 export, say
+        code = main(["estimate", "--labeled", str(labeled), "--method", "sup"])
+        assert code == 3
+        assert "line 3 is not valid UTF-8" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path):
         # more features than training rows makes the flat-prior design singular
         labeled, unlabeled, _ = _synthetic_csvs(tmp_path, n=16, n_unlabeled=40, p=30)

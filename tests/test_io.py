@@ -15,7 +15,8 @@ from ssmean.io import load_labeled_csv, load_unlabeled_csv
 
 
 def _write(path, text):
-    path.write_bytes(text.encode("utf-8"))
+    """Write str as UTF-8; bytes as they are."""
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
 
 
@@ -94,6 +95,13 @@ EDGE_CASES = [
     ("empty_file", "", rejected("file is empty")),
     ("blank_header", "\na,b\n1,2\n", rejected("header must name")),
     ("empty_header_name", "a,,b\n1,2,3\n", rejected("header must name")),
+    # the text layer decodes in 8 KiB chunks: a small file fails on the header
+    # read, a longer one in numpy's parse and then in the per-cell rescan
+    ("latin1_cell", b"a,b\n1,2\n3,\xff\n", rejected("line 3 is not valid UTF-8")),
+    ("latin1_cr_only", b"a,b\r1,2\r3,\xff\r", rejected("line 3 is not valid UTF-8")),
+    ("latin1_header", b"\xe9a,b\n1,2\n", rejected("line 1 is not valid UTF-8")),
+    ("latin1_past_first_chunk", b"a,b\r\n" + b"1,2\r\n" * 5000 + b"3,\xe9\r\n",
+     rejected("line 5002 is not valid UTF-8")),
 ]
 
 
