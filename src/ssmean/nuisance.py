@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
     InvalidParameterError,
+    NumericalError,
     SamplerFailureError,
     SingularDesignError,
     ValidationError,
@@ -302,6 +303,8 @@ def fit_bridge(
     ybar = float(y.mean())
     y_c = y - ybar
     s_y = float(y.std())
+    if not math.isfinite(s_y):
+        raise NumericalError("outcome standard deviation overflows float64; rescale the outcome")
     df = m - 1
     T = _original_scale_map(xbar, sdev, keep)
     meta: dict = {"n_rows": m, "n_features": p, "dropped_columns": int((~keep).sum())}
@@ -390,6 +393,12 @@ def fit_spike_slab(
     count; excluded coefficients are exactly zero; sigma^2 carries a weakly
     informative inverse-gamma prior.  Features are standardized internally
     and retained sweeps are mapped back to the original scale.
+
+    Coordinates are updated on the Gram matrix G = Z'Z (George & McCulloch
+    1993): the sweep tracks Z'r rather than the residual r, so a coordinate
+    that stays at zero costs no vector work and one that moves costs O(k).
+    Each sweep ends by forming r from the coefficients for the sigma^2
+    update and deriving Z'r from it afresh.
     """
     config = config or GibbsConfig()
     if rng is None:
@@ -403,42 +412,55 @@ def fit_spike_slab(
     ybar = float(y.mean())
     y_c = y - ybar
     T = _original_scale_map(xbar, sdev, keep)
-    meta: dict = {"n_rows": m, "n_features": p, "burn_in": config.burn_in, "sweeps": config.sweeps}
+    meta: dict = {
+        "n_rows": m,
+        "n_features": p,
+        "dropped_columns": int((~keep).sum()),
+        "burn_in": config.burn_in,
+        "sweeps": config.sweeps,
+    }
+    inclusion = np.zeros(p)  # per original column; dropped columns stay at 0
 
     if float(y.std()) == 0.0 or k == 0:
         loc = T @ np.concatenate([[ybar], np.zeros(k)])
         meta["degenerate"] = True
         meta["inclusion_frequency_max"] = 0.0
-        post = _point_mass("spike_slab", loc, float(m - 1), meta)
-        post._inclusion = np.zeros(p)
-        return post
+        meta["inclusion_frequency"] = inclusion.tolist()
+        return _point_mass("spike_slab", loc, float(m - 1), meta)
 
+    y_var = float(np.var(y_c))
+    if not math.isfinite(y_var):
+        raise SamplerFailureError("outcome variance overflows float64; rescale the outcome")
     g_slab = float(config.slab_scale) if config.slab_scale is not None else float(m)
     a0 = b0 = 0.001
     zz = np.einsum("ij,ij->j", Z, Z)
+    gram = Z.T @ Z
+    slab_prec = (zz + 1.0 / g_slab).tolist()
+    zz = zz.tolist()
 
     gen = rng.generator()
-    beta = np.zeros(k)
-    gamma = np.zeros(k, dtype=bool)
+    beta = [0.0] * k
+    gamma = [False] * k
     w = 0.5
-    sigma_sq = max(float(np.var(y_c)), 1e-12)
-    resid = y_c.copy()
+    sigma_sq = max(y_var, 1e-12)
+    zr = Z.T @ y_c
 
     total = config.burn_in + config.sweeps
     kept_rows = np.zeros((config.sweeps, k))
     kept_sigma = np.zeros(config.sweeps)
-    inclusion = np.zeros(k)
+    counts = np.zeros(k)
 
     for sweep in range(total):
+        prior_log_odds = math.log(w) - math.log1p(-w)
+        log_slab_var = math.log(g_slab * sigma_sq)
         for j in range(k):
-            if beta[j] != 0.0:
-                resid += beta[j] * Z[:, j]
-            cj = float(Z[:, j] @ resid)
-            v_j = sigma_sq / (zz[j] + 1.0 / g_slab)
-            mu_j = cj / (zz[j] + 1.0 / g_slab)
+            beta_old = beta[j]
+            cj = zr.item(j) + beta_old * zz[j]
+            v_j = sigma_sq / slab_prec[j]
+            mu_j = cj / slab_prec[j]
             log_odds = (
-                math.log(w) - math.log1p(-w)
-                + 0.5 * (math.log(v_j) - math.log(g_slab * sigma_sq))
+                prior_log_odds
+                + 0.5 * (math.log(v_j) - log_slab_var)
                 + 0.5 * mu_j * mu_j / v_j
             )
             if log_odds > 35.0:
@@ -448,36 +470,36 @@ def fit_spike_slab(
             else:
                 include = gen.random() < 1.0 / (1.0 + math.exp(-log_odds))
             gamma[j] = include
-            if include:
-                beta[j] = mu_j + math.sqrt(v_j) * gen.standard_normal()
-                resid -= beta[j] * Z[:, j]
-            else:
-                beta[j] = 0.0
-        n_active = int(gamma.sum())
+            beta_new = mu_j + math.sqrt(v_j) * gen.standard_normal() if include else 0.0
+            if beta_new != beta_old:
+                zr -= (beta_new - beta_old) * gram[j]
+                beta[j] = beta_new
+        coef = np.array(beta)
+        n_active = sum(gamma)
         w = float(gen.beta(1.0 + n_active, 1.0 + k - n_active))
         w = min(max(w, 1e-12), 1.0 - 1e-12)
         shape = a0 + 0.5 * (m - 1 + n_active)
-        rate = b0 + 0.5 * (float(resid @ resid) + float(beta @ beta) / g_slab)
+        # the residual itself, not y'y - 2b'Z'y + b'Gb, which cancels on near-exact fits
+        resid = y_c - Z @ coef
+        zr = Z.T @ resid
+        rate = b0 + 0.5 * (float(resid @ resid) + float(coef @ coef) / g_slab)
         sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate)
-        if not (np.isfinite(beta).all() and math.isfinite(sigma_sq)):
+        if not (np.isfinite(coef).all() and math.isfinite(sigma_sq)):
             raise SamplerFailureError(f"non-finite sampler state at sweep {sweep}")
         if sweep >= config.burn_in:
             idx = sweep - config.burn_in
-            kept_rows[idx] = beta
+            kept_rows[idx] = coef
             kept_sigma[idx] = sigma_sq
-            inclusion += gamma
+            counts += gamma
 
-    inclusion /= config.sweeps
+    inclusion[keep] = counts / config.sweeps
     intercepts = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)
     draws_std = np.column_stack([intercepts, kept_rows])
     draws = draws_std @ T.T
     meta["slab_scale"] = g_slab
     meta["inclusion_frequency_max"] = float(inclusion.max())
-    post = EmpiricalPosterior("spike_slab", draws, meta)
-    full_inclusion = np.zeros(p)
-    full_inclusion[keep] = inclusion
-    post._inclusion = full_inclusion
-    return post
+    meta["inclusion_frequency"] = inclusion.tolist()
+    return EmpiricalPosterior("spike_slab", draws, meta)
 
 
 Fitter = Callable[[np.ndarray, np.ndarray, RngStream], NuisancePosterior]

@@ -352,14 +352,16 @@ def run_replications(
 
     Deterministic for a fixed seed: replication r always uses the substream
     keyed by r, and records are reduced in replication order whatever the
-    worker count.  Workers run BLAS on one thread unless OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS is set; with ``jobs=1`` the caller's count is kept.
+    worker count.  Replications run BLAS on one thread, in the workers and in
+    the sequential loop alike, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+    is set; the caller's count is restored when the loop ends.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
     theta0 = true_theta(design)
     if jobs == 1 or design.reps == 1:
-        records = [_replicate(design, r, keep_draws) for r in range(design.reps)]
+        with _blas.one_thread():
+            records = [_replicate(design, r, keep_draws) for r in range(design.reps)]
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_blas.set_one_thread) as pool:
             records = list(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's sampling path: densities come from
 scipy.stats and the convolution is evaluated by FFT on a trapezoid grid.
-The CSV reference parses every cell with a plain ``float()``.
+The CSV reference parses every cell with a plain ``float()``, and the
+spike-and-slab reference is the sampler's original residual-tracking loop.
 """
 
 import csv
@@ -13,6 +14,10 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import fftconvolve
 from scipy.stats import t as student_t
+
+from ssmean.errors import InsufficientDataError, SamplerFailureError
+from ssmean.nuisance import GibbsConfig, _check_xy, _original_scale_map, _standardize
+from ssmean.rng import RngStream
 
 GRID_POINTS = 20_000
 GRID_SPAN_SCALES = 12.0
@@ -79,3 +84,91 @@ def read_csv_reference(path):
                 values.append(value)
             rows.append(values)
     return CsvReference(np.array(rows, dtype=float).reshape(len(rows), len(header)))
+
+
+def spike_slab_reference(features, outcomes, config=None, rng=None):
+    """The spike-and-slab Gibbs sampler as a scalar loop over the length-m residual.
+
+    Same priors, RNG consumption order and checks as ``fit_spike_slab``,
+    which tracks Z'r on the Gram matrix instead.  Returns the retained draws
+    on the original scale (one row for a degenerate fit) and the inclusion
+    frequency of every original column.
+    """
+    config = config or GibbsConfig()
+    if rng is None:
+        rng = RngStream(0)
+    X, y = _check_xy(features, outcomes)
+    m, p = X.shape
+    if m < 10:
+        raise InsufficientDataError(f"spike-and-slab needs at least 10 rows, got {m}")
+    Z, xbar, sdev, keep = _standardize(X)
+    k = Z.shape[1]
+    ybar = float(y.mean())
+    y_c = y - ybar
+    T = _original_scale_map(xbar, sdev, keep)
+
+    if float(y.std()) == 0.0 or k == 0:
+        loc = T @ np.concatenate([[ybar], np.zeros(k)])
+        return loc[None, :], np.zeros(p)
+
+    g_slab = float(config.slab_scale) if config.slab_scale is not None else float(m)
+    a0 = b0 = 0.001
+    zz = np.einsum("ij,ij->j", Z, Z)
+
+    gen = rng.generator()
+    beta = np.zeros(k)
+    gamma = np.zeros(k, dtype=bool)
+    w = 0.5
+    sigma_sq = max(float(np.var(y_c)), 1e-12)
+    resid = y_c.copy()
+
+    total = config.burn_in + config.sweeps
+    kept_rows = np.zeros((config.sweeps, k))
+    kept_sigma = np.zeros(config.sweeps)
+    inclusion = np.zeros(k)
+
+    for sweep in range(total):
+        for j in range(k):
+            if beta[j] != 0.0:
+                resid += beta[j] * Z[:, j]
+            cj = float(Z[:, j] @ resid)
+            v_j = sigma_sq / (zz[j] + 1.0 / g_slab)
+            mu_j = cj / (zz[j] + 1.0 / g_slab)
+            log_odds = (
+                math.log(w) - math.log1p(-w)
+                + 0.5 * (math.log(v_j) - math.log(g_slab * sigma_sq))
+                + 0.5 * mu_j * mu_j / v_j
+            )
+            if log_odds > 35.0:
+                include = True
+            elif log_odds < -35.0:
+                include = False
+            else:
+                include = gen.random() < 1.0 / (1.0 + math.exp(-log_odds))
+            gamma[j] = include
+            if include:
+                beta[j] = mu_j + math.sqrt(v_j) * gen.standard_normal()
+                resid -= beta[j] * Z[:, j]
+            else:
+                beta[j] = 0.0
+        n_active = int(gamma.sum())
+        w = float(gen.beta(1.0 + n_active, 1.0 + k - n_active))
+        w = min(max(w, 1e-12), 1.0 - 1e-12)
+        shape = a0 + 0.5 * (m - 1 + n_active)
+        rate = b0 + 0.5 * (float(resid @ resid) + float(beta @ beta) / g_slab)
+        sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate)
+        if not (np.isfinite(beta).all() and math.isfinite(sigma_sq)):
+            raise SamplerFailureError(f"non-finite sampler state at sweep {sweep}")
+        if sweep >= config.burn_in:
+            idx = sweep - config.burn_in
+            kept_rows[idx] = beta
+            kept_sigma[idx] = sigma_sq
+            inclusion += gamma
+
+    inclusion /= config.sweeps
+    intercepts = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)
+    draws_std = np.column_stack([intercepts, kept_rows])
+    draws = draws_std @ T.T
+    full_inclusion = np.zeros(p)
+    full_inclusion[keep] = inclusion
+    return draws, full_inclusion

@@ -1,5 +1,6 @@
-"""OpenBLAS threads: one inside the CLI and in replication workers, the count
-chosen through the environment kept, and reports the same either way."""
+"""OpenBLAS threads: one inside the CLI and in replications, pooled or
+sequential, the count chosen through the environment kept, and reports the
+same either way."""
 
 import json
 import multiprocessing
@@ -117,6 +118,37 @@ def test_replication_workers_run_on_one_thread_under_spawn(two_threads, monkeypa
                        n_folds=3, methods=("sup",), n_draws=100, seed=4)
     run_replications(design, jobs=2)
     assert seen == ["BLAS threads: 1"]
+
+
+def test_sequential_replications_run_on_one_thread():
+    if os.cpu_count() < 2 or not _blas._openblas_threads():
+        pytest.skip("needs OpenBLAS and two cores")
+    script = (
+        "import json\n"
+        "from ssmean import _blas, simulation\n"
+        "seen = []\n"
+        "make_fitter = simulation.make_fitter\n"
+        "def counting_fitter(name, gibbs=None):\n"
+        "    fit = make_fitter(name, gibbs)\n"
+        "    def counted(X, y, rng):\n"
+        "        seen.append(_blas.describe())\n"
+        "        return fit(X, y, rng)\n"
+        "    return counted\n"
+        "simulation.make_fitter = counting_fitter\n"
+        "design = simulation.SimDesign(kind='correct', n=30, n_unlabeled=60, p=2, s=1,\n"
+        "                              reps=2, n_folds=3, methods=('bdmi:bols',),\n"
+        "                              n_draws=100, seed=4)\n"
+        "before = _blas.describe()\n"
+        "simulation.run_replications(design, jobs=1)\n"
+        "print(json.dumps([before, sorted(set(seen)), len(seen), _blas.describe()]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=_env_without_blas_vars(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, inside, fits, after = json.loads(done.stdout)
+    if before == "BLAS threads: 1":
+        pytest.skip("OpenBLAS starts on one thread here")
+    assert inside == ["BLAS threads: 1"] and fits == 6  # 2 replications x 3 folds
+    assert after == before
 
 
 def test_simulate_report_is_the_same_at_one_and_two_threads(tmp_path):

@@ -95,7 +95,7 @@ class TestParseConfig:
             parse_config("compare", str(path), {})
 
 
-def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3):
+def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3, outcome_scale=1.0):
     design = SimDesign(kind="correct", n=n, n_unlabeled=n_unlabeled, p=p, s=2, seed=seed)
     data = generate_dataset(design, RngStream(seed, 123))
     names = [f"x{j}" for j in range(p)]
@@ -103,7 +103,8 @@ def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3):
     with open(labeled, "w") as fh:
         fh.write("y," + ",".join(names) + "\n")
         for yi, row in zip(data.outcomes, data.features):
-            fh.write(",".join([repr(float(yi))] + [repr(float(v)) for v in row]) + "\n")
+            cells = [repr(float(yi) * outcome_scale)] + [repr(float(v)) for v in row]
+            fh.write(",".join(cells) + "\n")
     unlabeled = tmp_path / "unlabeled.csv"
     with open(unlabeled, "w") as fh:
         fh.write(",".join(names) + "\n")
@@ -182,6 +183,21 @@ class TestEstimateCommand:
              "--method", "bdmi", "--nuisance", "bols", "--k", "4"]
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "nuisance, message",
+        [("bols", "must be finite"), ("bridge", "standard deviation overflows"),
+         ("spike", "variance overflows")],
+    )
+    def test_overflowing_outcome_exit_code(self, tmp_path, capsys, nuisance, message):
+        # the outcome's variance overflows float64 in every fold's fit
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path, outcome_scale=1e160)
+        code = main(
+            ["estimate", "--labeled", labeled, "--unlabeled", unlabeled,
+             "--method", "bdmi", "--nuisance", nuisance, "--k", "4", "--m", "200"]
+        )
+        assert code == 4
+        assert message in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         labeled = _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n")

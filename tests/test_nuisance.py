@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import spike_slab_reference
 from ssmean import (
     GibbsConfig,
     RegressionDraw,
@@ -200,7 +203,7 @@ class TestSpikeSlab:
         pm = post.posterior_mean()
         assert pm.intercept == pytest.approx(2.0)
         np.testing.assert_allclose(pm.coefficients, 0.0, atol=1e-12)
-        assert post._inclusion.max() <= 0.5
+        assert max(post.metadata["inclusion_frequency"]) <= 0.5
 
     def test_strong_signal_recovery(self):
         gen = RNG.substream(20).generator()
@@ -210,8 +213,9 @@ class TestSpikeSlab:
         beta[:2] = 3.0
         y = 1.0 + X @ beta + gen.normal(size=n)
         post = fit_spike_slab(X, y, QUICK_GIBBS, RNG.substream(21))
-        assert post._inclusion[:2].min() > 0.9
-        assert post._inclusion[2:].max() < 0.2
+        inclusion = post.metadata["inclusion_frequency"]
+        assert min(inclusion[:2]) > 0.9
+        assert max(inclusion[2:]) < 0.2
 
     def test_beats_bols_on_sparse_instance(self):
         gen = RNG.substream(22).generator()
@@ -240,6 +244,101 @@ class TestSpikeSlab:
         a = fit_spike_slab(X, y, cfg, RNG.substream(25)).sample_many(20, RNG.substream(26))
         b = fit_spike_slab(X, y, cfg, RNG.substream(25)).sample_many(20, RNG.substream(26))
         np.testing.assert_array_equal(a, b)
+
+    def test_inclusion_metadata_per_original_column(self):
+        gen = RNG.substream(32).generator()
+        X = gen.normal(size=(80, 4))
+        X[:, 1] = 5.0
+        y = 3.0 * X[:, 2] + gen.normal(size=80)
+        meta = fit_spike_slab(X, y, QUICK_GIBBS, RNG.substream(33)).metadata
+        assert meta["dropped_columns"] == 1
+        assert len(meta["inclusion_frequency"]) == 4
+        assert meta["inclusion_frequency"][1] == 0.0
+        assert meta["inclusion_frequency"][2] == meta["inclusion_frequency_max"] == 1.0
+        degenerate = fit_spike_slab(X, np.full(80, 1.0), QUICK_GIBBS, RNG).metadata
+        assert degenerate["inclusion_frequency"] == [0.0] * 4
+        assert degenerate["dropped_columns"] == 1
+
+
+def _equivalence_design(name):
+    gen = RNG.substream(40).generator()
+    X = gen.normal(size=(60, 6))
+    signal = 2.0 + X @ np.array([1.5, -1.0, 0.5, 0.0, 0.0, 0.0])
+    noisy = signal + gen.normal(size=60)
+    if name == "exact_fit":
+        return X, signal
+    if name == "noise_1e-8":
+        return X, signal + 1e-8 * gen.normal(size=60)
+    if name == "duplicate_columns":
+        X[:, 3] = X[:, 0]
+    elif name == "collinear_1e-9":
+        X[:, 3] = X[:, 0] + 1e-9 * gen.normal(size=60)
+    elif name == "constant_column":
+        X[:, 4] = 3.0
+    elif name == "offset_1e8":
+        return X + 1e8, noisy + 1e8
+    elif name == "outcome_x1e6":
+        return X, 1e6 * noisy
+    elif name == "one_column":
+        return X[:, :1], noisy
+    elif name == "pure_noise":
+        return X, gen.normal(size=60)
+    return X, noisy
+
+
+def _assert_matches_reference(X, y, config, rng):
+    """Draws within 1e-10 of the column's largest |draw|; inclusion rates equal."""
+    post = fit_spike_slab(X, y, config, rng)
+    ref_draws, ref_inclusion = spike_slab_reference(X, y, config, rng)
+    assert post.draws.shape == ref_draws.shape
+    scale = np.abs(ref_draws).max(axis=0)
+    assert np.all(np.abs(post.draws - ref_draws) <= 1e-10 * scale)
+    assert post.metadata["inclusion_frequency"] == ref_inclusion.tolist()
+
+
+class TestSpikeSlabMatchesResidualLoop:
+    """The Gram-matrix sweep is the residual-tracking sweep, up to rounding."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [GibbsConfig(burn_in=0, sweeps=1500), GibbsConfig(500, 1000, slab_scale=3.0)],
+        ids=["no_burn_in", "slab_3"],
+    )
+    @pytest.mark.parametrize(
+        "design",
+        ["sparse", "exact_fit", "noise_1e-8", "duplicate_columns", "collinear_1e-9",
+         "constant_column", "offset_1e8", "outcome_x1e6", "one_column", "pure_noise"],
+    )
+    def test_design_table(self, design, config):
+        X, y = _equivalence_design(design)
+        _assert_matches_reference(X, y, config, RNG.substream(41))
+
+    def test_near_exact_fit_rate_comes_from_the_residual(self):
+        # a wide slab leaves the RSS as sigma^2's rate, and a centred exact fit
+        # puts the intercept draws on sigma's scale: y'y - 2b'Z'y + b'Gb cancels
+        # here and moves those draws by ~1e-9 relative
+        gen = RNG.substream(42).generator()
+        X = gen.normal(size=(60, 6))
+        X -= X.mean(axis=0)
+        y = 1e4 * (X @ np.array([1.5, -1.0, 0.5, 0.0, 0.0, 0.0]))
+        config = GibbsConfig(burn_in=0, sweeps=300, slab_scale=1e12)
+        _assert_matches_reference(X, y, config, RNG.substream(43))
+
+    @given(
+        m=st.integers(10, 40),
+        k=st.integers(1, 6),
+        log_scales=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_small_random_designs(self, m, k, log_scales, duplicate, seed):
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(m, k)) * 10.0 ** np.array(log_scales[:k])
+        if duplicate and k > 1:
+            X[:, -1] = X[:, 0]
+        y = X[:, 0] / 10.0 ** log_scales[0] + gen.normal(size=m)
+        _assert_matches_reference(X, y, GibbsConfig(burn_in=10, sweeps=40), RngStream(seed))
 
 
 class TestFixtures:
