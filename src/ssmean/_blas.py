@@ -12,6 +12,7 @@ loaded, and is left alone.  Elsewhere than Linux nothing is changed.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -24,10 +25,16 @@ _SYMBOLS = (
 )
 
 
-def _openblas_threads() -> list[tuple]:
-    """(setter, getter) of each OpenBLAS mapped into this process."""
+@functools.cache
+def _openblas_threads() -> tuple[tuple, ...]:
+    """(setter, getter) of each OpenBLAS mapped into this process.
+
+    Found once per process: importing ssmean has by then loaded numpy's and
+    scipy.linalg's, the two its fits call, and reading the memory map on
+    every estimator call would cost milliseconds.
+    """
     if not sys.platform.startswith("linux"):
-        return []
+        return ()
     with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
         # address, permissions, offset, device, inode, then the path if any
         rows = [line.rstrip("\n").split(maxsplit=5) for line in maps]
@@ -45,7 +52,7 @@ def _openblas_threads() -> list[tuple]:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 found.append((setter, getter))
                 break
-    return found
+    return tuple(found)
 
 
 def _env_choice() -> str | None:

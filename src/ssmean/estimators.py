@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .data import Dataset, make_fold_plan
 from .errors import InsufficientDataError, InvalidParameterError, SsmeanError
 from .nuisance import Fitter, RegressionDraw
@@ -166,6 +167,7 @@ def _fold_diagnostics(fp: FoldPosterior, n_k: int, n_u: int, nuisance_meta: dict
     }
 
 
+@_blas.one_thread()
 def bdmi_cf(
     data: Dataset,
     n_folds: int,
@@ -228,11 +230,6 @@ def bdmi_cf(
     )
 
 
-def _augment(features: np.ndarray) -> np.ndarray:
-    features = np.atleast_2d(features)
-    return np.column_stack([np.ones(features.shape[0]), features])
-
-
 def _conform_coef_draws(coef_draws: np.ndarray, p: int) -> np.ndarray:
     # intercept-only posteriors (constant/zero fixtures) act as zero coefficients
     if coef_draws.shape[1] == p + 1:
@@ -244,6 +241,50 @@ def _conform_coef_draws(coef_draws: np.ndarray, p: int) -> np.ndarray:
     )
 
 
+def _fold_moments(
+    coef_draws: np.ndarray,
+    fold_outcomes: np.ndarray,
+    fold_features: np.ndarray,
+    fold_unlabeled: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-draw fold moments of many linear draws, from two small R factors.
+
+    For a draw (a, b) the labeled residuals y - a - X b have mean
+    ybar - a - b'xbar and sample variance |R_l (1, -b)|^2 / (n_k - 1), with
+    R_l the R factor of [y, X] centred on its column means; the unlabeled
+    predictions have mean a + b'xbar_u and variance |R_u b|^2 / (n_u - 1).
+    Householder QR is backward stable (Higham 2002, ch. 19) and a sum of
+    squares cannot cancel, so unlike the quadratic form b'Sb this needs no
+    fallback on near-exact fits.  Returns (mu_bias, scale_bias, mu_imp,
+    scale_imp) as ``fold_posterior`` defines them, one entry per row of
+    ``coef_draws``.
+    """
+    n_k, n_u = fold_features.shape[0], fold_unlabeled.shape[0]
+    labeled = np.column_stack([fold_outcomes, fold_features])
+    labeled_mean = labeled.mean(axis=0)
+    unlabeled_mean = fold_unlabeled.mean(axis=0)
+    labeled_c = labeled - labeled_mean
+    unlabeled_c = fold_unlabeled - unlabeled_mean
+    # R has min(rows, columns) rows, so a fold narrower than p + 1 needs no special case
+    r_labeled = np.linalg.qr(labeled_c, mode="r")
+    r_unlabeled = np.linalg.qr(unlabeled_c, mode="r")
+    intercepts, slopes = coef_draws[:, 0], coef_draws[:, 1:]
+    resid_coef = np.column_stack([np.ones(coef_draws.shape[0]), -slopes])
+    scale_bias = np.square(r_labeled @ resid_coef.T).sum(axis=0) / (n_k - 1) / n_k
+    scale_imp = np.square(r_unlabeled @ slopes.T).sum(axis=0) / (n_u - 1) / n_u
+    # far from the origin a location cancels (the intercept carries -b'xbar); so that
+    # it stays as accurate as an average of n_u rounded predictions, the means gain
+    # their rounding remainder from the centred data and the sums run in extended
+    # precision where the platform has it
+    ext = np.longdouble
+    labeled_mean_ext = labeled_mean.astype(ext) + labeled_c.mean(axis=0)
+    unlabeled_mean_ext = unlabeled_mean.astype(ext) + unlabeled_c.mean(axis=0)
+    mu_bias = (labeled_mean_ext[0] - intercepts - slopes @ labeled_mean_ext[1:]).astype(float)
+    mu_imp = (intercepts + slopes @ unlabeled_mean_ext).astype(float)
+    return mu_bias, scale_bias, mu_imp, scale_imp
+
+
+@_blas.one_thread()
 def hbdmi_cf(
     data: Dataset,
     n_folds: int,
@@ -255,10 +296,11 @@ def hbdmi_cf(
     """Hierarchical variant: a fresh nuisance draw for every posterior sample.
 
     Per fold, n_draws regression functions are drawn; each induces its own
-    fold posterior from which a single sample is taken.  The point estimate
-    plugs the nuisance posterior mean into the fold-center formula
-    (size-weighted across folds), falling back to the Monte Carlo average of
-    the draws if a posterior mean is unavailable.
+    fold posterior from which a single sample is taken.  The fold moments of
+    all draws come from two R factors of the centred fold data (see
+    ``_fold_moments``), not from n_draws x n_u prediction matrices.  The
+    point estimate plugs the nuisance posterior mean into the fold-center
+    formula (size-weighted across folds).
     """
     n_draws = _check_draw_count(n_draws)
     started = time.perf_counter()
@@ -266,7 +308,6 @@ def hbdmi_cf(
     per_fold = np.empty((plan.n_folds, n_draws))
     bias_total = 0.0
     imputed_total = 0.0
-    have_closed_form = True
     fold_diags = []
     for k in range(plan.n_folds):
         fold_rng = rng.substream(k + 1)
@@ -282,30 +323,22 @@ def hbdmi_cf(
         coef_draws = _conform_coef_draws(
             fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p
         )
-        labeled_preds = coef_draws @ _augment(data.features[test_l]).T
-        resid = data.outcomes[test_l][None, :] - labeled_preds
-        mu_bias = resid.mean(axis=1)
-        scale_bias = resid.var(axis=1, ddof=1) / n_k
-        unlabeled_preds = coef_draws @ _augment(data.unlabeled_features[test_u]).T
-        mu_imp = unlabeled_preds.mean(axis=1)
-        scale_imp = unlabeled_preds.var(axis=1, ddof=1) / n_u
+        mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
+            coef_draws, data.outcomes[test_l], data.features[test_l],
+            data.unlabeled_features[test_u],
+        )
         per_fold[k] = sample_student_t_each(
             n_k - 1, mu_bias, scale_bias, fold_rng.substream(_THETA_BIAS)
         ) + sample_student_t_each(
             n_u - 1, mu_imp, scale_imp, fold_rng.substream(_THETA_IMPUTED)
         )
-        try:
-            mhat = fit.posterior_mean()
-        except NotImplementedError:
-            have_closed_form = False
-            mhat = None
-        if mhat is not None:
-            fold_resid_mean = float(
-                np.mean(data.outcomes[test_l] - mhat.evaluate(data.features[test_l]))
-            )
-            fold_pred_mean = float(np.mean(mhat.evaluate(data.unlabeled_features[test_u])))
-            bias_total += n_k * fold_resid_mean
-            imputed_total += n_u * fold_pred_mean
+        mhat = fit.posterior_mean()
+        fold_resid_mean = float(
+            np.mean(data.outcomes[test_l] - mhat.evaluate(data.features[test_l]))
+        )
+        fold_pred_mean = float(np.mean(mhat.evaluate(data.unlabeled_features[test_u])))
+        bias_total += n_k * fold_resid_mean
+        imputed_total += n_u * fold_pred_mean
         fold_diags.append(
             {
                 "fold": k,
@@ -317,14 +350,10 @@ def hbdmi_cf(
             }
         )
     draws = per_fold.mean(axis=0)
-    if have_closed_form:
-        point = bias_total / data.n + imputed_total / data.n_unlabeled
-    else:
-        point = float(draws.mean())
+    point = bias_total / data.n + imputed_total / data.n_unlabeled
     diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
     diagnostics["n_folds"] = plan.n_folds
     diagnostics["folds"] = fold_diags
-    diagnostics["point_estimate_closed_form"] = have_closed_form
     diagnostics["elapsed_seconds"] = time.perf_counter() - started
     return EstimationResult(
         method="hbdmi",
@@ -362,6 +391,7 @@ def supervised_posterior(
     )
 
 
+@_blas.one_thread()
 def imputation_posterior(
     data: Dataset,
     fitter: Fitter,

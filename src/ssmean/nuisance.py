@@ -199,6 +199,10 @@ def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
             f"flat-prior regression needs at least p + 3 = {p + 3} rows, got {m}; "
             "consider the ridge method"
         )
+    with np.errstate(over="ignore"):
+        y_var = float(np.var(y))
+    if not math.isfinite(y_var):
+        raise NumericalError("outcome variance overflows float64; rescale the outcome")
     design = np.column_stack([np.ones(m), X])
     q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's sampling path: densities come from
 scipy.stats and the convolution is evaluated by FFT on a trapezoid grid.
-The CSV reference parses every cell with a plain ``float()``, and the
-spike-and-slab reference is the sampler's original residual-tracking loop.
+The CSV reference parses every cell with a plain ``float()``, the
+spike-and-slab reference is the sampler's original residual-tracking loop,
+and the hbdmi fold reference forms every draw's predictions in full.
 """
 
 import csv
@@ -172,3 +173,28 @@ def spike_slab_reference(features, outcomes, config=None, rng=None):
     full_inclusion = np.zeros(p)
     full_inclusion[keep] = inclusion
     return draws, full_inclusion
+
+
+def hbdmi_fold_reference(coef_draws, fold_outcomes, fold_features, fold_unlabeled):
+    """hbdmi's per-draw fold moments from the full prediction matrices.
+
+    Evaluates every draw on every row of the fold, then takes row means and
+    ddof=1 variances, as ``hbdmi_cf`` did before it worked from R factors.
+    Works in the dtype of its inputs, so ``np.longdouble`` arrays give an
+    extended-precision evaluation.  Returns (mu_bias, scale_bias, mu_imp,
+    scale_imp), one entry per row of ``coef_draws``.
+    """
+
+    def _augment(features):
+        features = np.atleast_2d(features)
+        return np.column_stack([np.ones(features.shape[0], dtype=features.dtype), features])
+
+    n_k, n_u = len(fold_outcomes), len(fold_unlabeled)
+    labeled_preds = coef_draws @ _augment(fold_features).T
+    resid = fold_outcomes[None, :] - labeled_preds
+    mu_bias = resid.mean(axis=1)
+    scale_bias = resid.var(axis=1, ddof=1) / n_k
+    unlabeled_preds = coef_draws @ _augment(fold_unlabeled).T
+    mu_imp = unlabeled_preds.mean(axis=1)
+    scale_imp = unlabeled_preds.var(axis=1, ddof=1) / n_u
+    return mu_bias, scale_bias, mu_imp, scale_imp

@@ -1,6 +1,6 @@
-"""OpenBLAS threads: one inside the CLI and in replications, pooled or
-sequential, the count chosen through the environment kept, and reports the
-same either way."""
+"""OpenBLAS threads: one inside the CLI, the public estimators and
+replications, pooled or sequential, the count chosen through the environment
+kept, and reports the same either way."""
 
 import json
 import multiprocessing
@@ -55,7 +55,7 @@ def two_threads(monkeypatch):
 
 def test_every_loaded_openblas_is_found():
     if not sys.platform.startswith("linux"):
-        assert _blas._openblas_threads() == []
+        assert _blas._openblas_threads() == ()
         return
     # numpy and scipy each bundle one; setting only numpy's leaves scipy.linalg threaded
     assert len(_blas._openblas_threads()) == len(_mapped_openblas_paths())
@@ -148,6 +148,39 @@ def test_sequential_replications_run_on_one_thread():
     if before == "BLAS threads: 1":
         pytest.skip("OpenBLAS starts on one thread here")
     assert inside == ["BLAS threads: 1"] and fits == 6  # 2 replications x 3 folds
+    assert after == before
+
+
+def test_estimators_run_on_one_thread():
+    if os.cpu_count() < 2 or not _blas._openblas_threads():
+        pytest.skip("needs OpenBLAS and two cores")
+    script = (
+        "import json\n"
+        "import numpy as np\n"
+        "from ssmean import (Dataset, RngStream, _blas, bdmi_cf, hbdmi_cf,\n"
+        "                    imputation_posterior, make_fitter)\n"
+        "bols = make_fitter('bols')\n"
+        "seen = {}\n"
+        "def counting(method):\n"
+        "    def fit(X, y, rng):\n"
+        "        seen.setdefault(method, []).append(_blas.describe())\n"
+        "        return bols(X, y, rng)\n"
+        "    return fit\n"
+        "gen = np.random.default_rng(0)\n"
+        "data = Dataset(gen.normal(size=40), gen.normal(size=(40, 2)), gen.normal(size=(80, 2)))\n"
+        "before = _blas.describe()\n"
+        "bdmi_cf(data, 4, counting('bdmi'), 100, 0.05, RngStream(1))\n"
+        "hbdmi_cf(data, 4, counting('hbdmi'), 100, 0.05, RngStream(2))\n"
+        "imputation_posterior(data, counting('imp'), 100, 0.05, RngStream(3))\n"
+        "print(json.dumps([before, seen, _blas.describe()]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=_env_without_blas_vars(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, seen, after = json.loads(done.stdout)
+    if before == "BLAS threads: 1":
+        pytest.skip("OpenBLAS starts on one thread here")
+    assert seen == {"bdmi": ["BLAS threads: 1"] * 4, "hbdmi": ["BLAS threads: 1"] * 4,
+                    "imp": ["BLAS threads: 1"]}
     assert after == before
 
 

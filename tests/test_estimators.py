@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import convolution_quantiles
+from _oracles import convolution_quantiles, hbdmi_fold_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmean import (
     Dataset,
@@ -26,6 +28,7 @@ from ssmean import (
 )
 from ssmean.nuisance import constant_nuisance
 from ssmean.errors import InsufficientDataError, InvalidParameterError
+from ssmean.estimators import _conform_coef_draws, _fold_moments
 from ssmean.simulation import signal_coefficients
 
 RNG = RngStream(555001)
@@ -219,6 +222,118 @@ class TestHbdmiCf:
         a = hbdmi_cf(data, 4, fitter, 300, 0.05, RngStream(77))
         b = hbdmi_cf(data, 4, fitter, 300, 0.05, RngStream(77))
         np.testing.assert_array_equal(a.draws, b.draws)
+
+
+MOMENTS = ("mu_bias", "scale_bias", "mu_imp", "scale_imp")
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def _fitted_fold(nuisance="bols", m=60, n_k=10, n_u=50, p=4, noise=1.0, y_scale=1.0,
+                 offset=0.0, constant_column=False, n_draws=400, seed=0):
+    """Draws of a nuisance fitted on m rows, and a held-out fold of n_k + n_u rows."""
+    gen = RngStream(seed, 91).generator()
+    beta = np.linspace(1.0, 0.0, p)
+
+    def rows(count):
+        X = gen.normal(size=(count, p))
+        if constant_column:
+            X[:, 0] = 2.5
+        y = (1.0 + X @ beta + noise * gen.normal(size=count)) * y_scale
+        return y, X + offset
+
+    y_train, X_train = rows(m)
+    y_l, X_l = rows(n_k)
+    _, X_u = rows(n_u)
+    fit = make_fitter(nuisance)(X_train, y_train, RngStream(seed, 92))
+    coef_draws = _conform_coef_draws(fit.sample_many(n_draws, RngStream(seed, 93)), p)
+    return coef_draws, y_l, X_l, X_u
+
+
+def _extended_reference(coef_draws, y, X_l, X_u):
+    return hbdmi_fold_reference(*(a.astype(np.longdouble) for a in (coef_draws, y, X_l, X_u)))
+
+
+def _max_error(values, reference):
+    return float(np.max(np.abs(values - reference)))
+
+
+class TestFoldMoments:
+    """hbdmi's R-factor fold moments against the full prediction matrices."""
+
+    @pytest.mark.filterwarnings("ignore:dropping 1 zero-variance")
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(m=400, n_k=100, n_u=2000, p=50, n_draws=1000),  # the desk cell's fold
+            dict(m=40, n_k=5, n_u=50, p=10),  # labeled fold narrower than p + 1
+            dict(m=20, n_k=3, n_u=3),  # both folds at the 3-row floor
+            dict(nuisance="bridge", constant_column=True),
+            dict(nuisance="zero"),  # width-1 draws
+            dict(nuisance="constant:2.5"),
+            dict(y_scale=1e6),
+        ],
+        ids=["desk", "narrow-labeled", "floor", "constant-column", "zero", "constant",
+             "y-1e6"],
+    )
+    def test_matches_dense_reference(self, case):
+        fold = _fitted_fold(**case)
+        for name, new, dense in zip(MOMENTS, _fold_moments(*fold), hbdmi_fold_reference(*fold)):
+            assert new.shape == dense.shape == (fold[0].shape[0],)
+            assert _max_error(new, dense) <= 1e-10 * np.max(np.abs(dense)), name
+
+    @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize(
+        "case",
+        [dict(nuisance="bridge", offset=1e4), dict(nuisance="bridge", offset=1e8)],
+        ids=["offset-1e4", "offset-1e8"],
+    )
+    def test_no_less_accurate_far_from_the_origin(self, case):
+        # the dense path's predictions cancel against the intercept; the R factors
+        # see centred data, and the locations are summed in extended precision
+        fold = _fitted_fold(**case)
+        exact = _extended_reference(*fold)
+        for name, new, dense, ref in zip(MOMENTS, _fold_moments(*fold),
+                                         hbdmi_fold_reference(*fold), exact):
+            assert _max_error(new, ref) <= _max_error(dense, ref), name
+
+    @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is no wider than float64 here")
+    def test_near_exact_fit(self):
+        # residuals of about 1e-9 against outcomes of about 1: both paths keep about
+        # seven digits of the residual variance.  The R factor's backward error is
+        # of the dense residuals' order but not below it (ratio about 1 in the median
+        # of 60 seeded fits, at most 6), so the scales get a factor of 10.
+        fold = _fitted_fold(noise=1e-9)
+        exact = _extended_reference(*fold)
+        assert np.max(exact[1]) < 1e-18
+        for name, new, dense, ref in zip(MOMENTS, _fold_moments(*fold),
+                                         hbdmi_fold_reference(*fold), exact):
+            slack = 10.0 if name.startswith("scale") else 1.0
+            assert _max_error(new, ref) <= slack * _max_error(dense, ref), name
+
+    @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is no wider than float64 here")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_k=st.integers(3, 30),
+        n_u=st.integers(3, 60),
+        p=st.integers(1, 8),
+        log_scales=st.lists(st.floats(-3, 3), min_size=8, max_size=8),
+        log_offset=st.floats(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_matches_extended_reference(self, n_k, n_u, p, log_scales, log_offset,
+                                                 seed):
+        gen = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(log_scales[:p])
+        offsets = 10.0**log_offset * gen.choice([-1.0, 1.0], size=p)
+        X_l = gen.normal(size=(n_k, p)) * scales + offsets
+        X_u = gen.normal(size=(n_u, p)) * scales + offsets
+        y = gen.normal(size=n_k) + X_l @ (1.0 / scales)
+        coef_draws = gen.normal(size=(50, p + 1)) * np.concatenate([[1.0], 1.0 / scales])
+        fold = (coef_draws, y, X_l, X_u)
+        # at offsets of 1e6 and slopes of 1e3 the extended reference itself keeps
+        # about 11 digits of a scale, and the dense float64 path reaches 4e-8
+        for name, new, ref in zip(MOMENTS, _fold_moments(*fold), _extended_reference(*fold)):
+            assert _max_error(new, ref) <= 1e-9 * float(np.max(np.abs(ref))), name
 
 
 class TestImputation:
