@@ -2,11 +2,12 @@
 
 The nuisance fits are small (a few hundred rows by tens of columns), and on
 fits that size a second BLAS thread costs more in hand-offs than it saves;
-``--jobs`` is the way to use more cores.  numpy and scipy each bundle their
-own OpenBLAS, so every copy mapped into the process is set, through the
-setter and getter it exports.  A count the user chose through
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` was read by OpenBLAS when it
-loaded, and is left alone.  Elsewhere than Linux nothing is changed.
+``--jobs`` is the way to use more cores.  The fits call numpy's OpenBLAS;
+any other copy mapped into the process (scipy bundles its own, should the
+caller have imported it) is set too, each through the setter and getter it
+exports.  A count the user chose through ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` was read by OpenBLAS when it loaded, and is left alone.
+Elsewhere than Linux nothing is changed.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ _SYMBOLS = (
 def _openblas_threads() -> tuple[tuple, ...]:
     """(setter, getter) of each OpenBLAS mapped into this process.
 
-    Found once per process: importing ssmean has by then loaded numpy's and
-    scipy.linalg's, the two its fits call, and reading the memory map on
-    every estimator call would cost milliseconds.
+    Found once per process: importing ssmean has by then loaded numpy's,
+    the one its fits call, and reading the memory map on every estimator
+    call would cost milliseconds.  A copy loaded later (scipy's, say) is
+    not seen.
     """
     if not sys.platform.startswith("linux"):
         return ()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -204,23 +203,21 @@ def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     if not math.isfinite(y_var):
         raise NumericalError("outcome variance overflows float64; rescale the outcome")
     design = np.column_stack([np.ones(m), X])
-    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag[0] * max(m, d) * np.finfo(float).eps if diag[0] > 0 else 0.0
-    if diag[0] == 0.0 or (diag <= tol).any():
+    # R of [design, y] holds design's R and, in its last column, Q'y
+    r_aug = np.linalg.qr(np.column_stack([design, y]), mode="r")
+    r, qty = r_aug[:d, :d], r_aug[:d, d]
+    # the largest column norm is what a column-pivoted QR puts in |r_11|
+    tol = float(np.linalg.norm(design, axis=0).max()) * max(m, d) * np.finfo(float).eps
+    if np.linalg.svd(r, compute_uv=False)[-1] <= tol:
         raise SingularDesignError(
             "design matrix with intercept is rank deficient; consider the ridge method"
         )
-    coef_piv = scipy.linalg.solve_triangular(r, q.T @ y)
-    coef = np.empty(d)
-    coef[piv] = coef_piv
+    solved = np.linalg.solve(r, np.column_stack([qty, np.eye(d)]))
+    coef, r_inv = solved[:, 0], solved[:, 1:]
     rss = float(np.sum((y - design @ coef) ** 2))
     df = m - d
     s2 = rss / df
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(d))
-    factor = np.zeros((d, d))
-    factor[piv, :] = r_inv  # (X'X)^{-1} = E R^{-1} R^{-T} E'
-    factor *= math.sqrt(s2)
+    factor = r_inv * math.sqrt(s2)  # (X'X)^{-1} = R^{-1} R^{-T}
     meta = {"rss": rss, "sigma_sq_scale": s2, "n_rows": m, "n_features": p}
     return MultivariateTPosterior("bols", df, coef, factor, meta)
 
@@ -306,7 +303,8 @@ def fit_bridge(
     k = Z.shape[1]
     ybar = float(y.mean())
     y_c = y - ybar
-    s_y = float(y.std())
+    with np.errstate(over="ignore"):
+        s_y = float(y.std())
     if not math.isfinite(s_y):
         raise NumericalError("outcome standard deviation overflows float64; rescale the outcome")
     df = m - 1
@@ -338,9 +336,9 @@ def fit_bridge(
         lam_hat = lam_tilde * m / s_y
 
     A = Z.T @ Z + lam_hat * np.eye(k)
-    r = scipy.linalg.cholesky(A, lower=False)
+    r_inv = np.linalg.inv(np.linalg.cholesky(A).T)  # A^{-1} = R^{-1} R^{-T}
     zty = Z.T @ y_c
-    coef_std = scipy.linalg.cho_solve((r, False), zty)
+    coef_std = r_inv @ (r_inv.T @ zty)
     rss_term = float(y_c @ y_c - zty @ coef_std)
     rss_term = max(rss_term, 0.0)
     scale_mult = math.sqrt(rss_term / df)
@@ -348,7 +346,7 @@ def fit_bridge(
     loc_std = np.concatenate([[ybar], coef_std])
     factor_std = np.zeros((1 + k, 1 + k))
     factor_std[0, 0] = 1.0 / math.sqrt(m)
-    factor_std[1:, 1:] = scipy.linalg.solve_triangular(r, np.eye(k))
+    factor_std[1:, 1:] = r_inv
     factor_std *= scale_mult
 
     meta.update(
@@ -425,14 +423,16 @@ def fit_spike_slab(
     }
     inclusion = np.zeros(p)  # per original column; dropped columns stay at 0
 
-    if float(y.std()) == 0.0 or k == 0:
+    with np.errstate(over="ignore"):
+        s_y = float(y.std())
+        y_var = float(np.var(y_c))
+    if s_y == 0.0 or k == 0:
         loc = T @ np.concatenate([[ybar], np.zeros(k)])
         meta["degenerate"] = True
         meta["inclusion_frequency_max"] = 0.0
         meta["inclusion_frequency"] = inclusion.tolist()
         return _point_mass("spike_slab", loc, float(m - 1), meta)
 
-    y_var = float(np.var(y_c))
     if not math.isfinite(y_var):
         raise SamplerFailureError("outcome variance overflows float64; rescale the outcome")
     g_slab = float(config.slab_scale) if config.slab_scale is not None else float(m)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 GENERATOR_NAME = "philox-4x64"
 
@@ -42,10 +43,10 @@ class RngStream:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """Fresh generator positioned at the start of this stream."""
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
     def substream(self, label: int) -> "RngStream":
         """Derive a child stream; children with distinct labels are independent."""

@@ -4,20 +4,41 @@ These deliberately avoid the library's sampling path: densities come from
 scipy.stats and the convolution is evaluated by FFT on a trapezoid grid.
 The CSV reference parses every cell with a plain ``float()``, the
 spike-and-slab reference is the sampler's original residual-tracking loop,
-and the hbdmi fold reference forms every draw's predictions in full.
+the hbdmi fold reference forms every draw's predictions in full, and the
+bols and bridge references are those fits as they ran on scipy.linalg.
 """
 
 import csv
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import fftconvolve
 from scipy.stats import t as student_t
 
-from ssmean.errors import InsufficientDataError, SamplerFailureError
-from ssmean.nuisance import GibbsConfig, _check_xy, _original_scale_map, _standardize
+from ssmean.errors import (
+    InsufficientDataError,
+    InvalidParameterError,
+    NumericalError,
+    SamplerFailureError,
+    SingularDesignError,
+    ValidationError,
+)
+from ssmean.nuisance import (
+    RIDGE_CV_FOLDS,
+    RIDGE_GRID_FLOOR,
+    RIDGE_GRID_SIZE,
+    GibbsConfig,
+    MultivariateTPosterior,
+    _check_xy,
+    _original_scale_map,
+    _point_mass,
+    _ridge_cv_lambda,
+    _standardize,
+)
 from ssmean.rng import RngStream
 
 GRID_POINTS = 20_000
@@ -198,3 +219,146 @@ def hbdmi_fold_reference(coef_draws, fold_outcomes, fold_features, fold_unlabele
     mu_imp = unlabeled_preds.mean(axis=1)
     scale_imp = unlabeled_preds.var(axis=1, ddof=1) / n_u
     return mu_bias, scale_bias, mu_imp, scale_imp
+
+
+def bols_reference(features, outcomes):
+    """``fit_bols`` as it was on scipy: a column-pivoted QR, rank read off its diagonal.
+
+    Flat-prior Gaussian linear regression.
+
+    The posterior of (intercept, coefficients) is multivariate t with
+    df = m - p - 1, centred at the least-squares solution, with squared-scale
+    matrix s^2 (X'X)^{-1} on the intercept-augmented design, where
+    s^2 = RSS / (m - p - 1).  An exact fit (RSS = 0) degenerates to a point
+    mass at the least-squares solution.
+    """
+    X, y = _check_xy(features, outcomes)
+    m, p = X.shape
+    d = p + 1
+    if m < p + 3:
+        raise SingularDesignError(
+            f"flat-prior regression needs at least p + 3 = {p + 3} rows, got {m}; "
+            "consider the ridge method"
+        )
+    with np.errstate(over="ignore"):
+        y_var = float(np.var(y))
+    if not math.isfinite(y_var):
+        raise NumericalError("outcome variance overflows float64; rescale the outcome")
+    design = np.column_stack([np.ones(m), X])
+    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag[0] * max(m, d) * np.finfo(float).eps if diag[0] > 0 else 0.0
+    if diag[0] == 0.0 or (diag <= tol).any():
+        raise SingularDesignError(
+            "design matrix with intercept is rank deficient; consider the ridge method"
+        )
+    coef_piv = scipy.linalg.solve_triangular(r, q.T @ y)
+    coef = np.empty(d)
+    coef[piv] = coef_piv
+    rss = float(np.sum((y - design @ coef) ** 2))
+    df = m - d
+    s2 = rss / df
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(d))
+    factor = np.zeros((d, d))
+    factor[piv, :] = r_inv  # (X'X)^{-1} = E R^{-1} R^{-T} E'
+    factor *= math.sqrt(s2)
+    meta = {"rss": rss, "sigma_sq_scale": s2, "n_rows": m, "n_features": p}
+    return MultivariateTPosterior("bols", df, coef, factor, meta)
+
+
+def bridge_reference(features, outcomes, penalty=None):
+    """``fit_bridge`` as it was on scipy: ``cholesky`` and ``cho_solve``.
+
+    Gaussian-prior ridge regression with the penalty chosen by cross-validation.
+
+    Pipeline: standardize feature columns and scale the outcome to unit
+    standard deviation; pick the penalty on a 100-point log grid by 10-fold
+    CV of ridge squared error on the scaled problem; rescale the chosen
+    penalty back to the raw-outcome problem; form the conjugate
+    normal-inverse-gamma posterior on the standardized design (flat prior on
+    the intercept, df = m - 1); map location and scale back to the original
+    feature scale.  Zero-variance columns are dropped from the penalized
+    block and receive coefficient zero.
+
+    Passing `penalty` skips the CV step and uses that value as the prior
+    precision on the standardized coefficients directly.
+    """
+    X, y = _check_xy(features, outcomes)
+    m, p = X.shape
+    if m < 5:
+        raise InsufficientDataError(f"ridge regression needs at least 5 rows, got {m}")
+    if p < 1:
+        raise ValidationError("ridge regression needs at least one feature column")
+    Z, xbar, sdev, keep = _standardize(X)
+    if not keep.any():
+        raise ValidationError("all feature columns have zero variance")
+    if not keep.all():
+        warnings.warn(
+            f"dropping {int((~keep).sum())} zero-variance feature column(s); "
+            "their coefficients are fixed at 0",
+            stacklevel=2,
+        )
+    k = Z.shape[1]
+    ybar = float(y.mean())
+    y_c = y - ybar
+    s_y = float(y.std())
+    if not math.isfinite(s_y):
+        raise NumericalError("outcome standard deviation overflows float64; rescale the outcome")
+    df = m - 1
+    T = _original_scale_map(xbar, sdev, keep)
+    meta: dict = {"n_rows": m, "n_features": p, "dropped_columns": int((~keep).sum())}
+
+    if s_y == 0.0:
+        loc = T @ np.concatenate([[ybar], np.zeros(k)])
+        meta.update({"lambda_hat": math.inf, "degenerate": True})
+        return _point_mass("bridge", loc, df, meta)
+
+    if penalty is not None:
+        if not math.isfinite(penalty) or penalty <= 0:
+            raise InvalidParameterError(f"penalty must be positive and finite, got {penalty}")
+        lam_hat = float(penalty)
+        lam_tilde = None
+        grid = None
+    else:
+        y_scaled = y / s_y
+        lam_max = float(np.max(np.abs(Z.T @ (y_scaled - y_scaled.mean())))) / m
+        if lam_max <= 0.0:
+            lam_max = 1e-8
+        grid = np.geomspace(lam_max, RIDGE_GRID_FLOOR * lam_max, RIDGE_GRID_SIZE)
+        cv_errors = _ridge_cv_lambda(Z, y_scaled, grid)
+        # the CV penalty lives on the unit-variance outcome problem; rescaling to
+        # the raw-outcome prior precision (by m, i.e. outcome-scale penalty times
+        # m / s_y) makes the posterior mean coincide with the CV ridge estimate
+        lam_tilde = float(grid[int(np.argmin(cv_errors))]) * s_y
+        lam_hat = lam_tilde * m / s_y
+
+    A = Z.T @ Z + lam_hat * np.eye(k)
+    r = scipy.linalg.cholesky(A, lower=False)
+    zty = Z.T @ y_c
+    coef_std = scipy.linalg.cho_solve((r, False), zty)
+    rss_term = float(y_c @ y_c - zty @ coef_std)
+    rss_term = max(rss_term, 0.0)
+    scale_mult = math.sqrt(rss_term / df)
+
+    loc_std = np.concatenate([[ybar], coef_std])
+    factor_std = np.zeros((1 + k, 1 + k))
+    factor_std[0, 0] = 1.0 / math.sqrt(m)
+    factor_std[1:, 1:] = scipy.linalg.solve_triangular(r, np.eye(k))
+    factor_std *= scale_mult
+
+    meta.update(
+        {
+            "lambda_hat": lam_hat,
+            "lambda_tilde": lam_tilde,
+            "lambda_grid": None if grid is None else [float(grid[0]), float(grid[-1])],
+            "cv_folds": None if grid is None else RIDGE_CV_FOLDS,
+            "outcome_sd": s_y,
+        }
+    )
+    post = MultivariateTPosterior("bridge", df, T @ loc_std, T @ factor_std, meta)
+    # standardized-scale state, kept for algebraic round-trip checks
+    post._loc_std = loc_std
+    post._xbar = xbar
+    post._sdev = sdev
+    post._keep = keep
+    return post

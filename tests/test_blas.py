@@ -57,7 +57,7 @@ def test_every_loaded_openblas_is_found():
     if not sys.platform.startswith("linux"):
         assert _blas._openblas_threads() == ()
         return
-    # numpy and scipy each bundle one; setting only numpy's leaves scipy.linalg threaded
+    # the tests import scipy, which bundles a second OpenBLAS next to numpy's
     assert len(_blas._openblas_threads()) == len(_mapped_openblas_paths())
 
 

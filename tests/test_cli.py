@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,10 +202,8 @@ class TestEstimateCommand:
         )
         assert code == 4
         assert message in capsys.readouterr().err
-        if nuisance == "bols":
-            # checked before any arithmetic can overflow; bridge and spike still
-            # let numpy warn while they compute the outcome's spread
-            assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # each fit checks the outcome's spread before any arithmetic can overflow
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_config_error_exit_code(self, tmp_path):
         labeled = _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n")
@@ -284,3 +286,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config)]) == 0
         files = list((tmp_path / "density").glob("density_*.csv"))
         assert len(files) == 1
+
+
+def test_cli_and_fits_load_no_scipy():
+    # importing scipy.linalg would add about 0.4 s to every command's start
+    script = (
+        "import json, sys\n"
+        "assert not [n for n in sys.modules if n.split('.')[0] == 'scipy']\n"
+        "import numpy as np\n"
+        "import ssmean.cli\n"
+        "from ssmean import (Dataset, GibbsConfig, RngStream, bdmi_cf, hbdmi_cf,\n"
+        "                    imputation_posterior, make_fitter)\n"
+        "gen = np.random.default_rng(0)\n"
+        "X, U = gen.normal(size=(60, 3)), gen.normal(size=(90, 3))\n"
+        "data = Dataset(X @ [1.0, 0.5, 0.0] + gen.normal(size=60), X, U)\n"
+        "gibbs = GibbsConfig(burn_in=20, sweeps=50)\n"
+        "for name in ('bols', 'bridge', 'spike'):\n"
+        "    for estimator in (bdmi_cf, hbdmi_cf):\n"
+        "        estimator(data, 3, make_fitter(name, gibbs), 100, 0.05, RngStream(1))\n"
+        "imputation_posterior(data, make_fitter('bridge'), 100, 0.05, RngStream(2))\n"
+        "print(json.dumps([n for n in sys.modules if n.split('.')[0] == 'scipy']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == []

@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import spike_slab_reference
+from _oracles import bols_reference, bridge_reference, spike_slab_reference
 from ssmean import (
     GibbsConfig,
     RegressionDraw,
@@ -23,6 +27,7 @@ from ssmean.errors import (
     SingularDesignError,
     ValidationError,
 )
+from ssmean.simulation import signal_coefficients
 
 RNG = RngStream(90210)
 
@@ -339,6 +344,126 @@ class TestSpikeSlabMatchesResidualLoop:
             X[:, -1] = X[:, 0]
         y = X[:, 0] / 10.0 ** log_scales[0] + gen.normal(size=m)
         _assert_matches_reference(X, y, GibbsConfig(burn_in=10, sweeps=40), RngStream(seed))
+
+
+def _dense_fit_case(name):
+    """A training fold for the comparisons against the scipy-based fits."""
+    gen = RNG.substream(50).generator()
+    m, p = (240, 100) if name == "240x100" else (400, 50)  # the cells' training folds
+    X = gen.normal(size=(m, p))
+    signal = 5.0 + X @ signal_coefficients(p, 7)
+    y = signal + math.sqrt(4.75 / 5) * gen.normal(size=m)
+    if name == "outcome_x1e6":
+        y = 1e6 * y
+    elif name == "offset_1e4":
+        X = X + 1e4
+    elif name == "constant_column":
+        X[:, 4] = 3.0
+    elif name == "near_exact":
+        y = signal + 1e-9 * gen.normal(size=m)
+    return X, y
+
+
+def _relative_error(value, reference):
+    return np.abs(value - reference).max() / np.abs(reference).max()
+
+
+def _assert_matches_scipy_path(post, ref, name):
+    """Locations and squared scales F F' within 1e-10 of the scipy fit's, relative.
+
+    On the near-exact fit s^2 is rounding noise on both paths, so only the
+    locations are compared there.
+    """
+    assert post.df == ref.df
+    assert _relative_error(post.location, ref.location) <= 1e-10
+    if name != "near_exact":
+        cov, ref_cov = (f.scale_factor @ f.scale_factor.T for f in (post, ref))
+        assert _relative_error(cov, ref_cov) <= 1e-10
+
+
+class TestDenseFitsMatchScipyPath:
+    """numpy.linalg's fits against the scipy.linalg bodies they replaced."""
+
+    @pytest.mark.parametrize(
+        "name", ["desk", "240x100", "outcome_x1e6", "offset_1e4", "near_exact"]
+    )
+    def test_bols(self, name):
+        X, y = _dense_fit_case(name)
+        _assert_matches_scipy_path(fit_bols(X, y), bols_reference(X, y), name)
+
+    @pytest.mark.parametrize(
+        "name", ["desk", "240x100", "outcome_x1e6", "offset_1e4", "constant_column",
+                 "near_exact"]
+    )
+    @pytest.mark.filterwarnings("ignore:dropping 1 zero-variance")
+    def test_bridge(self, name):
+        X, y = _dense_fit_case(name)
+        post, ref = fit_bridge(X, y), bridge_reference(X, y)
+        assert post.metadata["lambda_hat"] == ref.metadata["lambda_hat"]
+        _assert_matches_scipy_path(post, ref, name)
+
+
+RANK_SIZES = [(400, 50), (240, 100), (20, 2), (3000, 50), (60, 10), (12, 9),
+              (53, 50), (103, 100)]  # the last three have the minimum m = p + 3
+RANK_OFFSETS = [0.0, 1e4, 1e6, 1e8]
+RANK_LAST_COLUMNS = [None, 1e-6, 1e-8, 1e-10, 0.0, "constant"]
+
+
+def _rank_design(m, p, offset, mixed_scales, last_column):
+    """Gaussian columns, scaled 1e-3..1e3 if mixed; the last one a near-copy of
+    the first at distance `last_column`, or constant; then every column offset."""
+    gen = np.random.default_rng(0)
+    X = gen.normal(size=(m, p))
+    if mixed_scales:
+        X *= np.geomspace(1e-3, 1e3, p)
+    if last_column == "constant":
+        X[:, -1] = 3.0
+    elif last_column is not None:
+        X[:, -1] = X[:, 0] + last_column * gen.normal(size=m)
+    return X + offset, gen.normal(size=m)
+
+
+def _rank_decision(fit, X, y):
+    """None if the fit accepts the design, else its rank-deficiency message."""
+    try:
+        fit(X, y)
+    except SingularDesignError as exc:
+        return str(exc)
+    return None
+
+
+def _tolerance_ratio(X):
+    """sigma_min of the intercept-augmented design over the rank tolerance
+    max_j ||column j|| * max(m, d) * eps, from scipy's SVD of the design itself."""
+    design = np.column_stack([np.ones(X.shape[0]), X])
+    tol = np.linalg.norm(design, axis=0).max() * max(design.shape) * np.finfo(float).eps
+    return scipy.linalg.svdvals(design)[-1] / tol
+
+
+@pytest.mark.parametrize("m,p", RANK_SIZES, ids=[f"{m}x{p}" for m, p in RANK_SIZES])
+def test_rank_decision_table(m, p):
+    """``fit_bols`` rejects exactly when sigma_min <= tolerance, and as the pivoted QR did.
+
+    Away from the threshold (ratio outside [0.8, 1.25]) the decision follows
+    the ratio.  Every design the pivoted QR rejected is still rejected, with
+    the same message, and outside [0.5, 1.25] the two decisions are equal.
+    Inside it the new test may reject where the old one accepted: sigma_min
+    <= min |r_ii| for any triangular R, so the pivoted diagonal can only
+    overstate sigma_min.
+    """
+    wrong = []
+    for offset, mixed, last in itertools.product(RANK_OFFSETS, [False, True], RANK_LAST_COLUMNS):
+        X, y = _rank_design(m, p, offset, mixed, last)
+        ratio = _tolerance_ratio(X)
+        new, old = _rank_decision(fit_bols, X, y), _rank_decision(bols_reference, X, y)
+        follows_ratio = 0.8 <= ratio <= 1.25 or (new is None) == (ratio > 1)
+        if 0.5 <= ratio <= 1.25:
+            matches_parent = old is None or new == old
+        else:
+            matches_parent = new == old
+        if not (follows_ratio and matches_parent):
+            wrong.append((offset, mixed, last, f"ratio {ratio:.3g}", new, old))
+    assert not wrong
 
 
 class TestFixtures:
