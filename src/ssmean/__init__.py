@@ -30,16 +30,12 @@ from .nuisance import (
     fit_bridge,
     fit_spike_slab,
     make_fitter,
-    predict,
     zero_nuisance,
 )
 from .rng import GENERATOR_NAME, RngStream
 from .sampling import (
     TComponent,
     sample_convolution,
-    sample_gamma,
-    sample_inverse_gamma,
-    sample_normal,
     sample_quantile,
     sample_student_t,
     sample_student_t_each,
@@ -49,8 +45,6 @@ from .simulation import (
     SimDesign,
     SimulationResults,
     emit_density_data,
-    gen_correct,
-    gen_misspec,
     generate_dataset,
     mc_oracle_variances,
     oracle_ore,
@@ -83,8 +77,6 @@ __all__ = [
     "fit_bridge",
     "fit_spike_slab",
     "fold_posterior",
-    "gen_correct",
-    "gen_misspec",
     "generate_dataset",
     "hbdmi_cf",
     "imputation_posterior",
@@ -93,13 +85,9 @@ __all__ = [
     "mc_oracle_variances",
     "oracle_ore",
     "oracle_ore_star",
-    "predict",
     "run_method",
     "run_replications",
     "sample_convolution",
-    "sample_gamma",
-    "sample_inverse_gamma",
-    "sample_normal",
     "sample_quantile",
     "sample_student_t",
     "sample_student_t_each",

@@ -82,10 +82,8 @@ def credible_interval(draws: np.ndarray, alpha: float) -> tuple[float, float]:
     """Equal-tailed interval from the sample quantiles of posterior draws."""
     if not (0.0 < alpha < 1.0):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    return (
-        sample_quantile(draws, alpha / 2.0),
-        sample_quantile(draws, 1.0 - alpha / 2.0),
-    )
+    lo, hi = sample_quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return lo, hi
 
 
 def _mean_and_scale_sq(values: np.ndarray) -> tuple[float, float]:

@@ -35,7 +35,6 @@ __all__ = [
     "fit_spike_slab",
     "constant_nuisance",
     "zero_nuisance",
-    "predict",
     "make_fitter",
     "NUISANCE_NAMES",
 ]
@@ -63,11 +62,6 @@ class RegressionDraw:
                 f"{self.coefficients.shape[0]}"
             )
         return self.intercept + features @ self.coefficients
-
-
-def predict(draw: RegressionDraw, features: np.ndarray) -> np.ndarray:
-    """Evaluate a regression draw on a feature matrix."""
-    return draw.evaluate(features)
 
 
 def _draw_from_vector(vec: np.ndarray) -> RegressionDraw:
@@ -399,8 +393,10 @@ def fit_spike_slab(
     Coordinates are updated on the Gram matrix G = Z'Z (George & McCulloch
     1993): the sweep tracks Z'r rather than the residual r, so a coordinate
     that stays at zero costs no vector work and one that moves costs O(k).
-    Each sweep ends by forming r from the coefficients for the sigma^2
-    update and deriving Z'r from it afresh.
+    Each sweep draws its k uniforms and k standard normals as two vector
+    calls up front, and decides inclusion on the logit scale, which needs no
+    exp.  It ends by forming r from the coefficients for the sigma^2 update
+    and deriving Z'r from it afresh.
     """
     config = config or GibbsConfig()
     if rng is None:
@@ -438,8 +434,12 @@ def fit_spike_slab(
     g_slab = float(config.slab_scale) if config.slab_scale is not None else float(m)
     a0 = b0 = 0.001
     zz = np.einsum("ij,ij->j", Z, Z)
-    gram = Z.T @ Z
-    slab_prec = (zz + 1.0 / g_slab).tolist()
+    gram_rows = list(Z.T @ Z)
+    slab_prec = zz + 1.0 / g_slab
+    # the log-odds of inclusion are logit(w) - log(g sp_j) / 2 + c_j^2 / (2 sigma^2 sp_j),
+    # with sp_j = z_j'z_j + 1/g; the middle term is fixed for the whole fit
+    half_log_det = 0.5 * np.log(g_slab * slab_prec)
+    prec = slab_prec.tolist()
     zz = zz.tolist()
 
     gen = rng.generator()
@@ -454,47 +454,43 @@ def fit_spike_slab(
     kept_sigma = np.zeros(config.sweeps)
     counts = np.zeros(k)
 
-    for sweep in range(total):
-        prior_log_odds = math.log(w) - math.log1p(-w)
-        log_slab_var = math.log(g_slab * sigma_sq)
-        for j in range(k):
-            beta_old = beta[j]
-            cj = zr.item(j) + beta_old * zz[j]
-            v_j = sigma_sq / slab_prec[j]
-            mu_j = cj / slab_prec[j]
-            log_odds = (
-                prior_log_odds
-                + 0.5 * (math.log(v_j) - log_slab_var)
-                + 0.5 * mu_j * mu_j / v_j
-            )
-            if log_odds > 35.0:
-                include = True
-            elif log_odds < -35.0:
-                include = False
-            else:
-                include = gen.random() < 1.0 / (1.0 + math.exp(-log_odds))
-            gamma[j] = include
-            beta_new = mu_j + math.sqrt(v_j) * gen.standard_normal() if include else 0.0
-            if beta_new != beta_old:
-                zr -= (beta_new - beta_old) * gram[j]
-                beta[j] = beta_new
-        coef = np.array(beta)
-        n_active = sum(gamma)
-        w = float(gen.beta(1.0 + n_active, 1.0 + k - n_active))
-        w = min(max(w, 1e-12), 1.0 - 1e-12)
-        shape = a0 + 0.5 * (m - 1 + n_active)
-        # the residual itself, not y'y - 2b'Z'y + b'Gb, which cancels on near-exact fits
-        resid = y_c - Z @ coef
-        zr = Z.T @ resid
-        rate = b0 + 0.5 * (float(resid @ resid) + float(coef @ coef) / g_slab)
-        sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate)
-        if not (np.isfinite(coef).all() and math.isfinite(sigma_sq)):
-            raise SamplerFailureError(f"non-finite sampler state at sweep {sweep}")
-        if sweep >= config.burn_in:
-            idx = sweep - config.burn_in
-            kept_rows[idx] = coef
-            kept_sigma[idx] = sigma_sq
-            counts += gamma
+    # log(0) = -inf is a valid logit for a uniform draw of exactly 0
+    with np.errstate(divide="ignore"):
+        for sweep in range(total):
+            u = gen.random(k)
+            noise = (np.sqrt(sigma_sq / slab_prec) * gen.standard_normal(k)).tolist()
+            # include j iff logit(u_j) < log-odds_j; the terms free of c_j join
+            # logit(u_j) in one vector, and with no exp nothing needs a clamp
+            logit_w = math.log(w) - math.log1p(-w)
+            threshold = (np.log(u) - np.log1p(-u) - logit_w + half_log_det).tolist()
+            half_inv_var = 0.5 / sigma_sq
+            for j in range(k):
+                beta_old = beta[j]
+                cj = zr.item(j) + beta_old * zz[j]
+                mu_j = cj / prec[j]
+                include = cj * mu_j * half_inv_var > threshold[j]
+                gamma[j] = include
+                beta_new = mu_j + noise[j] if include else 0.0
+                if beta_new != beta_old:
+                    zr -= (beta_new - beta_old) * gram_rows[j]
+                    beta[j] = beta_new
+            coef = np.array(beta)
+            n_active = sum(gamma)
+            w = float(gen.beta(1.0 + n_active, 1.0 + k - n_active))
+            w = min(max(w, 1e-12), 1.0 - 1e-12)
+            shape = a0 + 0.5 * (m - 1 + n_active)
+            # the residual itself, not y'y - 2b'Z'y + b'Gb, which cancels on near-exact fits
+            resid = y_c - Z @ coef
+            zr = Z.T @ resid
+            rate = b0 + 0.5 * (float(resid @ resid) + float(coef @ coef) / g_slab)
+            sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate)
+            if not (np.isfinite(coef).all() and math.isfinite(sigma_sq)):
+                raise SamplerFailureError(f"non-finite sampler state at sweep {sweep}")
+            if sweep >= config.burn_in:
+                idx = sweep - config.burn_in
+                kept_rows[idx] = coef
+                kept_sigma[idx] = sigma_sq
+                counts += gamma
 
     inclusion[keep] = counts / config.sweeps
     intercepts = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)

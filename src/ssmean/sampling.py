@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +23,6 @@ __all__ = [
     "sample_student_t_each",
     "sample_convolution",
     "sample_quantile",
-    "sample_normal",
-    "sample_gamma",
-    "sample_inverse_gamma",
 ]
 
 
@@ -124,38 +122,34 @@ def sample_convolution(
     return draws(a) + draws(b)
 
 
-def sample_quantile(samples: np.ndarray, q: float) -> float:
-    """Type-7 (linear interpolation) sample quantile at level q in (0, 1)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
+def sample_quantile(samples: np.ndarray, q: float | Sequence[float]) -> float | list[float]:
+    """Type-7 (linear interpolation) sample quantile at level q in (0, 1).
+
+    A sequence of levels gives a list, one value per level, from one
+    partition of the samples.  The results are bit-identical to
+    ``np.quantile``'s: the same virtual index (n - 1) q, a partition on the
+    same kth indices, and the same interpolation formula.  ``np.quantile``
+    itself would load ``numpy.ma`` on its first call, through ``np.unique``.
+    """
+    samples = np.asarray(samples, dtype=float).ravel()
+    n = samples.size
+    if n == 0:
         raise EmptyInputError("sample_quantile requires a non-empty sample vector")
-    if not (0.0 < q < 1.0):
-        raise InvalidParameterError(f"quantile level must lie in (0, 1), got {q}")
-    return float(np.quantile(samples, q))
-
-
-def sample_normal(mean: float, variance: float, count: int, rng: RngStream) -> np.ndarray:
-    """Normal(mean, variance) draws; variance 0 is a point mass."""
-    count = _check_count(count)
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise InvalidParameterError("non-finite normal parameters")
-    if variance < 0:
-        raise InvalidParameterError(f"variance must be non-negative, got {variance}")
-    if variance == 0.0:
-        return np.full(count, mean)
-    return mean + math.sqrt(variance) * rng.generator().standard_normal(count)
-
-
-def sample_gamma(shape: float, rate: float, count: int, rng: RngStream) -> np.ndarray:
-    """Gamma(shape, rate) draws (mean shape/rate)."""
-    count = _check_count(count)
-    if not (math.isfinite(shape) and math.isfinite(rate)) or shape <= 0 or rate <= 0:
-        raise InvalidParameterError(
-            f"gamma shape and rate must be positive, got ({shape}, {rate})"
-        )
-    return rng.generator().gamma(shape, 1.0 / rate, size=count)
-
-
-def sample_inverse_gamma(shape: float, rate: float, count: int, rng: RngStream) -> np.ndarray:
-    """Inverse-Gamma(shape, rate) draws, i.e. reciprocals of Gamma(shape, rate)."""
-    return 1.0 / sample_gamma(shape, rate, count, rng)
+    levels = [q] if np.ndim(q) == 0 else list(q)
+    spans = []
+    for level in levels:
+        if not (0.0 < level < 1.0):
+            raise InvalidParameterError(f"quantile level must lie in (0, 1), got {level}")
+        index = (n - 1) * float(level)
+        # numpy takes the last element (index -1) at or past the top
+        lo = -1 if index >= n - 1 else math.floor(index)
+        spans.append((index, lo, -1 if lo == -1 else lo + 1))
+    part = np.partition(samples, sorted({0, -1, *(i for span in spans for i in span[1:])}))
+    values = []
+    for index, lo, hi in spans:
+        a, b, t = float(part[lo]), float(part[hi]), index - lo
+        diff = b - a
+        values.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    if math.isnan(part[-1]):  # NaN sorts last, and numpy returns it
+        values = [math.nan] * len(values)
+    return values[0] if np.ndim(q) == 0 else values

@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,6 @@ __all__ = [
     "parse_method_spec",
     "run_method",
     "signal_coefficients",
-    "gen_correct",
-    "gen_misspec",
     "generate_dataset",
     "oracle_ore",
     "oracle_ore_star",
@@ -142,14 +140,19 @@ def true_theta(design: SimDesign) -> float:
     return _constants(design)["theta0"]
 
 
-def _generate(design: SimDesign, rng: RngStream, kind: str) -> Dataset:
-    c = _constants(replace(design, kind=kind))
+def generate_dataset(design: SimDesign, rng: RngStream) -> Dataset:
+    """One labeled and unlabeled sample from the design's mean function.
+
+    "correct": Y | X ~ N(alpha0 + X'beta0, sigma0^2); "misspec" adds a
+    quadratic term that a linear nuisance cannot represent.
+    """
+    c = _constants(design)
     gen = rng.generator()
     total = design.n + design.n_unlabeled
     X = gen.standard_normal((total, design.p))
     linear = X @ c["beta0"]
     m0 = design.alpha0 + linear
-    if kind == "misspec":
+    if design.kind == "misspec":
         ratio_sq = c["gamma_norm_sq"] / c["beta_norm_sq"]  # ||gamma||^2 / ||beta||^2
         m0 = m0 + ratio_sq * linear**2
     y = m0[: design.n] + math.sqrt(c["sigma0_sq"]) * gen.standard_normal(design.n)
@@ -158,20 +161,6 @@ def _generate(design: SimDesign, rng: RngStream, kind: str) -> Dataset:
         features=X[: design.n],
         unlabeled_features=X[design.n :],
     )
-
-
-def gen_correct(design: SimDesign, rng: RngStream) -> Dataset:
-    """Linear-mean design: Y | X ~ N(alpha0 + X'beta0, sigma0^2)."""
-    return _generate(design, rng, "correct")
-
-
-def gen_misspec(design: SimDesign, rng: RngStream) -> Dataset:
-    """Quadratic-mean design that a linear nuisance cannot represent."""
-    return _generate(design, rng, "misspec")
-
-
-def generate_dataset(design: SimDesign, rng: RngStream) -> Dataset:
-    return _generate(design, rng, design.kind)
 
 
 def oracle_ore(design: SimDesign) -> float:

@@ -111,8 +111,10 @@ def read_csv_reference(path):
 def spike_slab_reference(features, outcomes, config=None, rng=None):
     """The spike-and-slab Gibbs sampler as a scalar loop over the length-m residual.
 
-    Same priors, RNG consumption order and checks as ``fit_spike_slab``,
-    which tracks Z'r on the Gram matrix instead.  Returns the retained draws
+    Same priors, RNG consumption order (k uniforms and k normals at the top
+    of each sweep), logit-scale inclusion test and checks as
+    ``fit_spike_slab``, which tracks Z'r on the Gram matrix instead and
+    rearranges the log-odds.  Returns the retained draws
     on the original scale (one row for a degenerate fit) and the inclusion
     frequency of every original column.
     """
@@ -150,6 +152,10 @@ def spike_slab_reference(features, outcomes, config=None, rng=None):
     inclusion = np.zeros(k)
 
     for sweep in range(total):
+        u = gen.random(k)
+        z = gen.standard_normal(k)
+        with np.errstate(divide="ignore"):
+            logit_u = np.log(u) - np.log1p(-u)
         for j in range(k):
             if beta[j] != 0.0:
                 resid += beta[j] * Z[:, j]
@@ -161,15 +167,10 @@ def spike_slab_reference(features, outcomes, config=None, rng=None):
                 + 0.5 * (math.log(v_j) - math.log(g_slab * sigma_sq))
                 + 0.5 * mu_j * mu_j / v_j
             )
-            if log_odds > 35.0:
-                include = True
-            elif log_odds < -35.0:
-                include = False
-            else:
-                include = gen.random() < 1.0 / (1.0 + math.exp(-log_odds))
+            include = logit_u[j] < log_odds
             gamma[j] = include
             if include:
-                beta[j] = mu_j + math.sqrt(v_j) * gen.standard_normal()
+                beta[j] = mu_j + math.sqrt(v_j) * z[j]
                 resid -= beta[j] * Z[:, j]
             else:
                 beta[j] = 0.0

@@ -20,7 +20,6 @@ from ssmean import (
     imputation_posterior,
     make_fitter,
     sample_convolution,
-    sample_normal,
     sample_quantile,
     supervised_posterior,
     variance_report,
@@ -105,13 +104,13 @@ class TestCredibleInterval:
         assert lo == hi == 3.2
 
     def test_normal_quantiles(self):
-        draws = sample_normal(0.0, 1.0, 10**6, RNG.substream(2))
+        draws = RNG.substream(2).generator().standard_normal(10**6)
         lo, hi = credible_interval(draws, 0.05)
         assert lo == pytest.approx(-1.96, abs=0.01)
         assert hi == pytest.approx(1.96, abs=0.01)
 
     def test_symmetric_about_median(self):
-        draws = sample_normal(2.0, 4.0, 10**5, RNG.substream(3))
+        draws = 2.0 + 2.0 * RNG.substream(3).generator().standard_normal(10**5)
         lo, hi = credible_interval(draws, 0.1)
         med = sample_quantile(draws, 0.5)
         assert (med - lo) == pytest.approx(hi - med, abs=0.05)

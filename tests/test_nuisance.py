@@ -17,7 +17,6 @@ from ssmean import (
     fit_bridge,
     fit_spike_slab,
     make_fitter,
-    predict,
     zero_nuisance,
 )
 from ssmean.errors import (
@@ -490,15 +489,15 @@ class TestFixtures:
 
 class TestPredict:
     def test_examples(self):
-        assert predict(RegressionDraw(1.0, np.array([2.0])), np.array([[3.0]])).tolist() == [7.0]
-        zeros = predict(RegressionDraw(0.0, np.zeros(2)), np.array([[4.0, 5.0]]))
+        assert RegressionDraw(1.0, np.array([2.0])).evaluate(np.array([[3.0]])).tolist() == [7.0]
+        zeros = RegressionDraw(0.0, np.zeros(2)).evaluate(np.array([[4.0, 5.0]]))
         assert zeros.tolist() == [0.0]
-        out = predict(RegressionDraw(5.0, np.array([1.0, 0.5])), np.array([[2.0, 2.0]]))
+        out = RegressionDraw(5.0, np.array([1.0, 0.5])).evaluate(np.array([[2.0, 2.0]]))
         assert out.tolist() == [8.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            predict(RegressionDraw(0.0, np.array([1.0])), np.ones((2, 3)))
+            RegressionDraw(0.0, np.array([1.0])).evaluate(np.ones((2, 3)))
 
 
 class TestMakeFitter:

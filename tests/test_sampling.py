@@ -9,9 +9,6 @@ from ssmean import (
     RngStream,
     TComponent,
     sample_convolution,
-    sample_gamma,
-    sample_inverse_gamma,
-    sample_normal,
     sample_quantile,
     sample_student_t,
     sample_student_t_each,
@@ -138,41 +135,38 @@ class TestQuantile:
         assert v_lo <= v_hi
         assert min(samples) <= v_lo and v_hi <= max(samples)
 
+    def test_sequence_of_levels(self):
+        samples = [4.0, 1.0, 3.0, 2.0]
+        assert sample_quantile(samples, [0.5, 0.25, 0.5]) == [2.5, 1.75, 2.5]
+        assert sample_quantile(samples, np.array([0.5])) == [2.5]
+        with pytest.raises(InvalidParameterError):
+            sample_quantile(samples, [0.5, 1.0])
+
+    @given(
+        size=st.integers(1, 2000),
+        values=st.sampled_from(["normal", "ties", "signed_zeros"]),
+        levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_numpy(self, size, values, levels, seed):
+        gen = np.random.default_rng(seed)
+        if values == "normal":
+            samples = gen.normal(size=size)
+        elif values == "ties":
+            samples = gen.choice([-2.5, -0.0, 0.0, 1.0, 1e300, -1e-300], size=size)
+        else:
+            samples = gen.choice([-0.0, 0.0], size=size)
+        expected = np.quantile(samples, levels)
+        assert np.array(sample_quantile(samples, levels)).tobytes() == expected.tobytes()
+        single = np.float64(sample_quantile(samples, levels[0]))
+        assert single.tobytes() == np.float64(np.quantile(samples, levels[0])).tobytes()
+
     def test_grid_limits(self):
         samples = [3.0, 1.0, 2.0]
         assert sample_quantile(samples, 1e-9) == pytest.approx(1.0)
         assert sample_quantile(samples, 1 - 1e-9) == pytest.approx(3.0)
-
-
-class TestStandardSamplers:
-    def test_normal_zero_variance(self):
-        assert sample_normal(0.0, 0.0, 5, RNG).tolist() == [0, 0, 0, 0, 0]
-
-    def test_gamma_mean(self):
-        draws = sample_gamma(2.0, 2.0, 10**6, RNG.substream(10))
-        assert abs(draws.mean() - 1.0) <= 0.01
-
-    def test_inverse_gamma_mean(self):
-        # IG(a, b) mean = b / (a - 1)
-        draws = sample_inverse_gamma(3.0, 4.0, 10**6, RNG.substream(11))
-        assert abs(draws.mean() - 2.0) <= 0.02
-
-    def test_inverse_gamma_is_reciprocal_gamma(self):
-        stream = RNG.substream(12)
-        np.testing.assert_allclose(
-            sample_inverse_gamma(3.0, 4.0, 100, stream),
-            1.0 / sample_gamma(3.0, 4.0, 100, stream),
-        )
-
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            sample_gamma(0.0, 1.0, 10, RNG)
-        with pytest.raises(InvalidParameterError):
-            sample_gamma(1.0, -1.0, 10, RNG)
-        with pytest.raises(InvalidParameterError):
-            sample_normal(math.inf, 1.0, 10, RNG)
-        with pytest.raises(InvalidParameterError):
-            sample_normal(0.0, -1.0, 10, RNG)
 
 
 class TestRngStream:

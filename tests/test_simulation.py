@@ -8,8 +8,7 @@ from ssmean import (
     RngStream,
     SimDesign,
     emit_density_data,
-    gen_correct,
-    gen_misspec,
+    generate_dataset,
     mc_oracle_variances,
     oracle_ore,
     oracle_ore_star,
@@ -57,20 +56,20 @@ class TestDesign:
 class TestGenerators:
     def test_correct_outcome_mean(self):
         design = _design(p=4, s=2, n=10**6, n_unlabeled=1)
-        data = gen_correct(design, RNG.substream(1))
+        data = generate_dataset(design, RNG.substream(1))
         var_y = 1.2 * 1.25  # Var(Y) = 1.2 * ||beta0||^2
         assert abs(data.outcomes.mean() - 5.0) <= 4 * math.sqrt(var_y / 10**6)
 
     def test_correct_signal_variance(self):
         design = _design(p=4, s=2, n=10**6, n_unlabeled=1)
-        data = gen_correct(design, RNG.substream(2))
+        data = generate_dataset(design, RNG.substream(2))
         m0 = 5.0 + data.features @ signal_coefficients(4, 2)
         assert abs(m0.var() - 1.25) <= 0.01 * 1.25
 
     def test_misspec_signal_ratio(self):
         # sqrt(E[(beta'X)^2] / E[(gamma'X)^4]) is calibrated to 3
         design = _design(kind="misspec", p=10, s=2, n=10**6, n_unlabeled=1)
-        data = gen_misspec(design, RNG.substream(3))
+        data = generate_dataset(design, RNG.substream(3))
         beta0 = signal_coefficients(10, 2)
         beta_norm = math.sqrt(float(beta0 @ beta0))
         gamma_norm_sq = beta_norm / (3 * math.sqrt(3))
@@ -81,18 +80,18 @@ class TestGenerators:
 
     def test_misspec_outcome_mean(self):
         design = _design(kind="misspec", p=6, s=2, n=10**6, n_unlabeled=1)
-        data = gen_misspec(design, RNG.substream(4))
+        data = generate_dataset(design, RNG.substream(4))
         theta0 = true_theta(design)
         assert abs(data.outcomes.mean() - theta0) <= 4 * data.outcomes.std() / 1000
 
     def test_shapes(self):
-        data = gen_correct(_design(), RNG.substream(5))
+        data = generate_dataset(_design(), RNG.substream(5))
         assert data.features.shape == (60, 3)
         assert data.unlabeled_features.shape == (300, 3)
 
     def test_determinism(self):
-        a = gen_correct(_design(), RNG.substream(6))
-        b = gen_correct(_design(), RNG.substream(6))
+        a = generate_dataset(_design(), RNG.substream(6))
+        b = generate_dataset(_design(), RNG.substream(6))
         np.testing.assert_array_equal(a.outcomes, b.outcomes)
         np.testing.assert_array_equal(a.unlabeled_features, b.unlabeled_features)
 
