@@ -97,22 +97,16 @@ def make_fold_plan(n: int, n_unlabeled: int, n_folds: int, rng: RngStream) -> Fo
     return FoldPlan(int(n_folds), labeled_folds, unlabeled_folds, train_sets)
 
 
-def _first_nonfinite(matrix: np.ndarray) -> tuple[int, int] | None:
-    bad = ~np.isfinite(matrix)
-    if not bad.any():
-        return None
-    row, col = np.argwhere(bad)[0]
-    return int(row), int(col)
-
-
 def validate_dataset(labeled: np.ndarray, unlabeled: np.ndarray) -> Dataset:
     """Build a checked Dataset from raw matrices.
 
     The labeled matrix carries the outcome in column 0 and features in the
-    remaining columns; the unlabeled matrix carries features only.
+    remaining columns; the unlabeled matrix carries features only.  The
+    Dataset holds the unlabeled matrix, the largest array of a run, through a
+    read-only view and does not copy it, unless it is not C-contiguous float64.
     """
     labeled = np.atleast_2d(np.asarray(labeled, dtype=float))
-    unlabeled = np.atleast_2d(np.asarray(unlabeled, dtype=float))
+    unlabeled = np.atleast_2d(np.ascontiguousarray(unlabeled, dtype=float))
     if labeled.shape[0] == 0 or labeled.shape[1] < 2:
         raise ValidationError(
             f"labeled matrix must have >= 1 row and >= 2 columns, got shape {labeled.shape}"
@@ -124,18 +118,15 @@ def validate_dataset(labeled: np.ndarray, unlabeled: np.ndarray) -> Dataset:
         raise DimensionMismatchError(
             f"unlabeled feature width {unlabeled.shape[1]} != labeled feature width {p}"
         )
-    offense = _first_nonfinite(labeled)
-    if offense is not None:
-        raise ValidationError(
-            f"labeled matrix has non-finite entry at (row {offense[0]}, col {offense[1]})"
-        )
-    offense = _first_nonfinite(unlabeled)
-    if offense is not None:
-        raise ValidationError(
-            f"unlabeled matrix has non-finite entry at (row {offense[0]}, col {offense[1]})"
-        )
+    for name, matrix in (("labeled", labeled), ("unlabeled", unlabeled)):
+        # one boolean temporary on the common path; the bad cell is located only on failure
+        if not np.isfinite(matrix).all():
+            row, col = np.argwhere(~np.isfinite(matrix))[0]
+            raise ValidationError(f"{name} matrix has non-finite entry at (row {row}, col {col})")
+    unlabeled = unlabeled.view()
+    unlabeled.flags.writeable = False
     return Dataset(
         outcomes=labeled[:, 0].copy(),
         features=labeled[:, 1:].copy(),
-        unlabeled_features=unlabeled.copy(),
+        unlabeled_features=unlabeled,
     )

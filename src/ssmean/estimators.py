@@ -321,20 +321,17 @@ def hbdmi_cf(
         coef_draws = _conform_coef_draws(
             fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p
         )
-        mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
-            coef_draws, data.outcomes[test_l], data.features[test_l],
-            data.unlabeled_features[test_u],
-        )
+        y_k, x_k = data.outcomes[test_l], data.features[test_l]
+        u_k = data.unlabeled_features[test_u]
+        mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(coef_draws, y_k, x_k, u_k)
         per_fold[k] = sample_student_t_each(
             n_k - 1, mu_bias, scale_bias, fold_rng.substream(_THETA_BIAS)
         ) + sample_student_t_each(
             n_u - 1, mu_imp, scale_imp, fold_rng.substream(_THETA_IMPUTED)
         )
         mhat = fit.posterior_mean()
-        fold_resid_mean = float(
-            np.mean(data.outcomes[test_l] - mhat.evaluate(data.features[test_l]))
-        )
-        fold_pred_mean = float(np.mean(mhat.evaluate(data.unlabeled_features[test_u])))
+        fold_resid_mean = float(np.mean(y_k - mhat.evaluate(x_k)))
+        fold_pred_mean = float(np.mean(mhat.evaluate(u_k)))
         bias_total += n_k * fold_resid_mean
         imputed_total += n_u * fold_pred_mean
         fold_diags.append(

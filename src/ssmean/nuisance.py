@@ -452,7 +452,7 @@ def fit_spike_slab(
     total = config.burn_in + config.sweeps
     kept_rows = np.zeros((config.sweeps, k))
     kept_sigma = np.zeros(config.sweeps)
-    counts = np.zeros(k)
+    kept_gamma = np.zeros((config.sweeps, k), dtype=bool)
 
     # log(0) = -inf is a valid logit for a uniform draw of exactly 0
     with np.errstate(divide="ignore"):
@@ -483,16 +483,17 @@ def fit_spike_slab(
             resid = y_c - Z @ coef
             zr = Z.T @ resid
             rate = b0 + 0.5 * (float(resid @ resid) + float(coef @ coef) / g_slab)
-            sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate)
-            if not (np.isfinite(coef).all() and math.isfinite(sigma_sq)):
+            # a non-finite coefficient makes coef @ coef, and so the rate, non-finite
+            sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate) if math.isfinite(rate) else math.inf
+            if not math.isfinite(sigma_sq):
                 raise SamplerFailureError(f"non-finite sampler state at sweep {sweep}")
             if sweep >= config.burn_in:
                 idx = sweep - config.burn_in
                 kept_rows[idx] = coef
                 kept_sigma[idx] = sigma_sq
-                counts += gamma
+                kept_gamma[idx] = gamma
 
-    inclusion[keep] = counts / config.sweeps
+    inclusion[keep] = kept_gamma.mean(axis=0)
     intercepts = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)
     draws_std = np.column_stack([intercepts, kept_rows])
     draws = draws_std @ T.T

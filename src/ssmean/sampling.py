@@ -67,15 +67,25 @@ def _check_count(count: int) -> int:
     return int(count)
 
 
-def sample_student_t(comp: TComponent, count: int, rng: RngStream) -> np.ndarray:
-    """Draw `count` independent samples from t_df(location, scale_sq)."""
-    count = _check_count(count)
+def _t_draws(g: np.random.Generator, df: float, location, scale_sq, shape) -> np.ndarray:
+    """location + sqrt(scale_sq) * z / sqrt(gam), computed in place on z in that order."""
+    z = g.standard_normal(shape)
+    gam = g.gamma(df / 2.0, 2.0 / df, size=shape)
+    z *= np.sqrt(scale_sq)
+    z /= np.sqrt(gam, out=gam)
+    z += location
+    return z
+
+
+def _component_draws(g: np.random.Generator, comp: TComponent, count: int) -> np.ndarray:
     if comp.scale_sq == 0.0:
         return np.full(count, comp.location)
-    g = rng.generator()
-    z = g.standard_normal(count)
-    gam = g.gamma(comp.df / 2.0, 2.0 / comp.df, size=count)
-    return comp.location + math.sqrt(comp.scale_sq) * z / np.sqrt(gam)
+    return _t_draws(g, comp.df, comp.location, comp.scale_sq, count)
+
+
+def sample_student_t(comp: TComponent, count: int, rng: RngStream) -> np.ndarray:
+    """Draw `count` independent samples from t_df(location, scale_sq)."""
+    return _component_draws(rng.generator(), comp, _check_count(count))
 
 
 def sample_student_t_each(
@@ -99,10 +109,7 @@ def sample_student_t_each(
         raise InvalidParameterError(f"df must be positive and finite, got {df}")
     if (scale_sqs < 0).any():
         raise InvalidParameterError("scale_sqs must be non-negative")
-    g = rng.generator()
-    z = g.standard_normal(locations.shape)
-    gam = g.gamma(df / 2.0, 2.0 / df, size=locations.shape)
-    return locations + np.sqrt(scale_sqs) * z / np.sqrt(gam)
+    return _t_draws(rng.generator(), df, locations, scale_sqs, locations.shape)
 
 
 def sample_convolution(
@@ -111,15 +118,9 @@ def sample_convolution(
     """Draw from the convolution of two t components (elementwise sums)."""
     count = _check_count(count)
     g = rng.generator()
-
-    def draws(comp: TComponent) -> np.ndarray:
-        if comp.scale_sq == 0.0:
-            return np.full(count, comp.location)
-        z = g.standard_normal(count)
-        gam = g.gamma(comp.df / 2.0, 2.0 / comp.df, size=count)
-        return comp.location + math.sqrt(comp.scale_sq) * z / np.sqrt(gam)
-
-    return draws(a) + draws(b)
+    total = _component_draws(g, a, count)
+    total += _component_draws(g, b, count)
+    return total
 
 
 def sample_quantile(samples: np.ndarray, q: float | Sequence[float]) -> float | list[float]:

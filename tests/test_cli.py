@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,34 @@ class TestEstimateCommand:
         labeled = _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n")
         code = main(["estimate", "--labeled", labeled, "--method", "sup", "--alpha", "1.5"])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def budget_csvs(tmp_path_factory):
+    return _synthetic_csvs(tmp_path_factory.mktemp("budget"), n=400, n_unlabeled=40_000, p=20)
+
+
+@pytest.mark.parametrize("method, folds_over", [("bdmi", 2), ("imp", 2), ("hbdmi", 4)])
+def test_estimate_holds_the_unlabeled_matrix_once(tmp_path, budget_csvs, method, folds_over):
+    # numpy reports its buffers to tracemalloc, so the traced peak of an in-process
+    # run counts what the run allocates, not the interpreter and modules loaded before.
+    # Above one unlabeled matrix a run may hold one fold's gather (bdmi, imp) or,
+    # for hbdmi, also its centred copy and the copy np.linalg.qr takes: K = 5.
+    labeled, unlabeled, data = budget_csvs
+    k = 5
+    args = ["estimate", "--labeled", labeled, "--unlabeled", unlabeled, "--method", method,
+            "--nuisance", "bols", "--k", str(k), "--m", "1000", "--seed", "1",
+            "--out", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    ratio = peak / data.unlabeled_features.nbytes
+    assert ratio <= 1 + folds_over / k, f"traced peak is {ratio:.2f} unlabeled matrices"
 
 
 class TestCompareCommand:

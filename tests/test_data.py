@@ -84,13 +84,18 @@ class TestValidateDataset:
     def test_nan_cites_row(self):
         labeled = np.ones((4, 3))
         labeled[2, 1] = np.nan
-        with pytest.raises(ValidationError, match=r"row 2"):
+        with pytest.raises(
+            ValidationError, match=r"^labeled matrix has non-finite entry at \(row 2, col 1\)$"
+        ):
             validate_dataset(labeled, np.ones((5, 2)))
 
     def test_inf_in_unlabeled(self):
         unlabeled = np.ones((5, 2))
         unlabeled[4, 0] = np.inf
-        with pytest.raises(ValidationError, match=r"row 4"):
+        unlabeled[3, 1] = -np.inf  # the first in row-major order is named
+        with pytest.raises(
+            ValidationError, match=r"^unlabeled matrix has non-finite entry at \(row 3, col 1\)$"
+        ):
             validate_dataset(np.ones((3, 3)), unlabeled)
 
     def test_zero_rows(self):
@@ -102,3 +107,29 @@ class TestValidateDataset:
     def test_outcome_only_matrix_rejected(self):
         with pytest.raises(ValidationError):
             validate_dataset(np.ones((3, 1)), np.ones((5, 2)))
+
+    def test_holds_unlabeled_matrix_without_copy(self):
+        unlabeled = np.arange(10.0).reshape(5, 2)
+        data = validate_dataset(np.ones((3, 3)), unlabeled)
+        assert np.shares_memory(data.unlabeled_features, unlabeled)
+
+    def test_unlabeled_view_is_read_only(self):
+        unlabeled = np.ones((5, 2))
+        data = validate_dataset(np.ones((3, 3)), unlabeled)
+        with pytest.raises(ValueError):
+            data.unlabeled_features[0, 0] = 2.0
+        unlabeled[0, 0] = 3.0  # the caller's array stays writeable
+        assert unlabeled.flags.writeable
+
+    @pytest.mark.parametrize(
+        "unlabeled",
+        [np.asfortranarray(np.arange(10.0).reshape(5, 2)), np.arange(10).reshape(5, 2),
+         np.arange(20.0).reshape(5, 4)[:, ::2]],
+        ids=["fortran", "integer", "strided"],
+    )
+    def test_other_layouts_become_c_contiguous_float(self, unlabeled):
+        data = validate_dataset(np.ones((3, 3)), unlabeled)
+        held = data.unlabeled_features
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        assert not np.shares_memory(held, unlabeled)
+        np.testing.assert_array_equal(held, unlabeled)
