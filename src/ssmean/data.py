@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,19 @@ def make_fold_plan(n: int, n_unlabeled: int, n_folds: int, rng: RngStream) -> Fo
     return FoldPlan(int(n_folds), labeled_folds, unlabeled_folds, train_sets)
 
 
+def all_finite(matrix: np.ndarray) -> bool:
+    """Whether every entry is finite, with no boolean array of the matrix's size.
+
+    A NaN or an infinity makes the sum NaN or infinite, so a finite sum
+    settles it in one pass; only a sum that is not finite, which finite
+    entries can also give by overflowing, runs the exact test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(matrix.sum()):
+            return True
+    return bool(np.isfinite(matrix).all())
+
+
 def validate_dataset(labeled: np.ndarray, unlabeled: np.ndarray) -> Dataset:
     """Build a checked Dataset from raw matrices.
 
@@ -119,8 +133,7 @@ def validate_dataset(labeled: np.ndarray, unlabeled: np.ndarray) -> Dataset:
             f"unlabeled feature width {unlabeled.shape[1]} != labeled feature width {p}"
         )
     for name, matrix in (("labeled", labeled), ("unlabeled", unlabeled)):
-        # one boolean temporary on the common path; the bad cell is located only on failure
-        if not np.isfinite(matrix).all():
+        if not all_finite(matrix):
             row, col = np.argwhere(~np.isfinite(matrix))[0]
             raise ValidationError(f"{name} matrix has non-finite entry at (row {row}, col {col})")
     unlabeled = unlabeled.view()

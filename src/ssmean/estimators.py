@@ -99,16 +99,23 @@ def fold_posterior(
     fold_unlabeled: np.ndarray,
     draw: RegressionDraw,
     fold_id: int = 0,
+    unlabeled_rows: np.ndarray | None = None,
 ) -> FoldPosterior:
     """Exact per-fold posterior parameters for one regression draw.
 
     The bias component has location mean(Y - m(X)) over the labeled fold and
     squared scale var(Y - m(X)) / n_k; the imputed component is the analogue
     on the unlabeled fold predictions.  Both use df = rows - 1.
+
+    Given ``unlabeled_rows``, ``fold_unlabeled`` is the whole unlabeled
+    matrix and the fold is those rows of it: the draw is evaluated over the
+    whole matrix and the fold's predictions are taken from that one vector,
+    so the fold's rows are never gathered into a matrix of their own.
     """
     y = np.asarray(fold_outcomes, dtype=float)
     n_k = y.shape[0]
-    n_u = np.atleast_2d(fold_unlabeled).shape[0]
+    n_u = (np.atleast_2d(fold_unlabeled).shape[0] if unlabeled_rows is None
+           else len(unlabeled_rows))
     if n_k < 3 or n_u < 3:
         raise InsufficientDataError(
             f"fold {fold_id} needs >= 3 labeled and unlabeled rows, got ({n_k}, {n_u})"
@@ -116,6 +123,8 @@ def fold_posterior(
     resid = y - draw.evaluate(fold_features)
     mu_bias, scale_bias = _mean_and_scale_sq(resid)
     preds = draw.evaluate(fold_unlabeled)
+    if unlabeled_rows is not None:
+        preds = preds[unlabeled_rows]
     mu_imp, scale_imp = _mean_and_scale_sq(preds)
     return FoldPosterior(
         t_bias=TComponent(df=n_k - 1, location=mu_bias, scale_sq=scale_bias),
@@ -178,11 +187,12 @@ def bdmi_cf(
 
     Each fold fits the nuisance on its labeled complement, draws one
     regression function, forms the fold's t-convolution posterior on the
-    held-out rows, and contributes n_draws samples; aggregated draws are the
-    across-fold averages.  The point estimate is the size-weighted
-    closed-form combination of the fold centers, which equals the grand
-    means of the residuals over the labeled data and the predictions over
-    the unlabeled data.
+    held-out rows (the draw is evaluated over the whole unlabeled matrix, so
+    no fold's unlabeled rows are copied), and contributes n_draws samples;
+    aggregated draws are the across-fold averages.  The point estimate is
+    the size-weighted closed-form combination of the fold centers, which
+    equals the grand means of the residuals over the labeled data and the
+    predictions over the unlabeled data.
     """
     n_draws = _check_draw_count(n_draws)
     started = time.perf_counter()
@@ -204,7 +214,7 @@ def bdmi_cf(
         mtilde = fit.sample(fold_rng.substream(_NUISANCE_DRAW))
         fp = fold_posterior(
             data.outcomes[test_l], data.features[test_l],
-            data.unlabeled_features[test_u], mtilde, fold_id=k,
+            data.unlabeled_features, mtilde, fold_id=k, unlabeled_rows=test_u,
         )
         per_fold[k] = sample_convolution(
             fp.t_bias, fp.t_imputed, n_draws, fold_rng.substream(_THETA_BIAS)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import all_finite
 from .errors import DataError, ValidationError
 
 __all__ = [
@@ -123,7 +124,7 @@ def _read_matrix(
             matrix is None
             or matrix.shape[0] == 0
             or matrix.shape[1] != len(header)
-            or not np.isfinite(matrix).all()
+            or not all_finite(matrix)
         ):
             handle.seek(0)
             reader = csv.reader(handle)

@@ -61,7 +61,9 @@ class RegressionDraw:
                 f"feature width {features.shape[1]} != coefficient length "
                 f"{self.coefficients.shape[0]}"
             )
-        return self.intercept + features @ self.coefficients
+        preds = features @ self.coefficients
+        preds += self.intercept  # in place: one vector of predictions, not two
+        return preds
 
 
 def _draw_from_vector(vec: np.ndarray) -> RegressionDraw:
@@ -395,8 +397,9 @@ def fit_spike_slab(
     that stays at zero costs no vector work and one that moves costs O(k).
     Each sweep draws its k uniforms and k standard normals as two vector
     calls up front, and decides inclusion on the logit scale, which needs no
-    exp.  It ends by forming r from the coefficients for the sigma^2 update
-    and deriving Z'r from it afresh.
+    exp.  It ends by deriving |r|^2 for the sigma^2 update, and Z'r afresh,
+    from the R factor of [Z, y_c], taken once per fit: two products of size
+    k + 1 in place of two over the m rows.
     """
     config = config or GibbsConfig()
     if rng is None:
@@ -435,6 +438,11 @@ def fit_spike_slab(
     a0 = b0 = 0.001
     zz = np.einsum("ij,ij->j", Z, Z)
     gram_rows = list(Z.T @ Z)
+    # with [Z, y_c] = QR, the residual r = y_c - Z b is Q v for v = R (-b, 1), so
+    # |r|^2 = |v|^2 and Z'r = R_z'v; R has min(m, k + 1) rows, so p >= m needs no
+    # special case
+    r_aug = np.linalg.qr(np.column_stack([Z, y_c]), mode="r")
+    r_z, r_y = r_aug[:, :k], r_aug[:, k]
     slab_prec = zz + 1.0 / g_slab
     # the log-odds of inclusion are logit(w) - log(g sp_j) / 2 + c_j^2 / (2 sigma^2 sp_j),
     # with sp_j = z_j'z_j + 1/g; the middle term is fixed for the whole fit
@@ -479,10 +487,11 @@ def fit_spike_slab(
             w = float(gen.beta(1.0 + n_active, 1.0 + k - n_active))
             w = min(max(w, 1e-12), 1.0 - 1e-12)
             shape = a0 + 0.5 * (m - 1 + n_active)
-            # the residual itself, not y'y - 2b'Z'y + b'Gb, which cancels on near-exact fits
-            resid = y_c - Z @ coef
-            zr = Z.T @ resid
-            rate = b0 + 0.5 * (float(resid @ resid) + float(coef @ coef) / g_slab)
+            # |R (-b, 1)|^2, a sum of squares from a backward-stable QR, not
+            # y'y - 2b'Z'y + b'Gb, which cancels on near-exact fits
+            v = r_y - r_z @ coef
+            zr = r_z.T @ v
+            rate = b0 + 0.5 * (float(v @ v) + float(coef @ coef) / g_slab)
             # a non-finite coefficient makes coef @ coef, and so the rate, non-finite
             sigma_sq = 1.0 / gen.gamma(shape, 1.0 / rate) if math.isfinite(rate) else math.inf
             if not math.isfinite(sigma_sq):

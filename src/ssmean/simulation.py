@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -352,6 +351,9 @@ def run_replications(
         with _blas.one_thread():
             records = [_replicate(design, r, keep_draws) for r in range(design.reps)]
     else:
+        # imported here: every CLI call would otherwise pay for the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_blas.set_one_thread) as pool:
             records = list(
                 pool.map(

@@ -2,6 +2,7 @@
 replications, pooled or sequential, the count chosen through the environment
 kept, and reports the same either way."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ssmean import _blas, simulation
+from ssmean import _blas
 from ssmean.simulation import SimDesign, run_replications
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -113,7 +114,8 @@ def test_replication_workers_run_on_one_thread_under_spawn(two_threads, monkeypa
             super().__init__(*args, mp_context=spawn, **kwargs)
             seen.append(self.submit(_blas.describe).result(timeout=120))
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SpawnPool)
+    # run_replications imports the pool class from concurrent.futures when it needs it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
     design = SimDesign(kind="correct", n=30, n_unlabeled=60, p=2, s=1, reps=2,
                        n_folds=3, methods=("sup",), n_draws=100, seed=4)
     run_replications(design, jobs=2)

@@ -217,12 +217,13 @@ def budget_csvs(tmp_path_factory):
     return _synthetic_csvs(tmp_path_factory.mktemp("budget"), n=400, n_unlabeled=40_000, p=20)
 
 
-@pytest.mark.parametrize("method, folds_over", [("bdmi", 2), ("imp", 2), ("hbdmi", 4)])
+@pytest.mark.parametrize("method, folds_over", [("bdmi", 1), ("imp", 1), ("hbdmi", 4)])
 def test_estimate_holds_the_unlabeled_matrix_once(tmp_path, budget_csvs, method, folds_over):
     # numpy reports its buffers to tracemalloc, so the traced peak of an in-process
     # run counts what the run allocates, not the interpreter and modules loaded before.
-    # Above one unlabeled matrix a run may hold one fold's gather (bdmi, imp) or,
-    # for hbdmi, also its centred copy and the copy np.linalg.qr takes: K = 5.
+    # bdmi and imp hold nothing of the unlabeled matrix's size beside it, only vectors
+    # of length N (CSV parsing takes the rest of one fold's worth); hbdmi also holds a
+    # fold's gather, its centred copy and the copy np.linalg.qr takes: K = 5.
     labeled, unlabeled, data = budget_csvs
     k = 5
     args = ["estimate", "--labeled", labeled, "--unlabeled", unlabeled, "--method", method,

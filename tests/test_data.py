@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,27 @@ class TestValidateDataset:
             ValidationError, match=r"^unlabeled matrix has non-finite entry at \(row 3, col 1\)$"
         ):
             validate_dataset(np.ones((3, 3)), unlabeled)
+
+    @pytest.mark.parametrize("cells, where", [
+        ([(0, 1, -np.inf), (1, 1, np.inf)], "row 0, col 1"),
+        ([(0, 0, 1e308), (1, 0, 1e308), (3, 1, np.nan)], "row 3, col 1"),
+    ], ids=["opposite_infinities", "nan_after_overflowing_sum"])
+    def test_non_finite_named_whatever_the_sum(self, cells, where):
+        unlabeled = np.ones((5, 2))
+        for row, col, value in cells:
+            unlabeled[row, col] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"non-finite entry at \({where}\)$"):
+                validate_dataset(np.ones((3, 3)), unlabeled)
+
+    def test_finite_entries_whose_sum_overflows_accepted(self):
+        unlabeled = np.ones((5, 2))
+        unlabeled[:2, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = validate_dataset(np.ones((3, 3)), unlabeled)
+        assert data.unlabeled_features[:2, 0].tolist() == [1e308, 1e308]
 
     def test_zero_rows(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ class TestFoldPosterior:
                 np.array([1.0, 2.0]), np.zeros((2, 1)), np.zeros((5, 1)),
                 zero_nuisance().posterior_mean(),
             )
+        with pytest.raises(InsufficientDataError):
+            fold_posterior(
+                np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros((5, 1)),
+                zero_nuisance().posterior_mean(), unlabeled_rows=np.array([0, 4]),
+            )
+
+    def test_unlabeled_rows_of_the_whole_matrix_match_the_gathered_fold(self):
+        gen = RNG.substream(2).generator()
+        y, X = gen.normal(size=8), gen.normal(size=(8, 3))
+        Xu = 50.0 + gen.normal(size=(41, 3))
+        rows = np.sort(gen.choice(41, size=13, replace=False))
+        draw = RegressionDraw(-2.5, np.array([0.4, -1.2, 3.0]))
+        gathered = fold_posterior(y, X, Xu[rows], draw, fold_id=3)
+        indexed = fold_posterior(y, X, Xu, draw, fold_id=3, unlabeled_rows=rows)
+        assert indexed.t_bias == gathered.t_bias
+        assert indexed.fold_id == 3 and indexed.t_imputed.df == 12
+        # a row's product may round differently at another position in the matrix
+        assert indexed.t_imputed.location == pytest.approx(gathered.t_imputed.location, rel=1e-14)
+        assert indexed.t_imputed.scale_sq == pytest.approx(gathered.t_imputed.scale_sq, rel=1e-12)
 
 
 class TestCredibleInterval:
@@ -180,6 +200,23 @@ class TestBdmiCf:
         data = _toy_dataset(seed=14, n=60, n_unlabeled=30)
         result = bdmi_cf(data, 4, _zero_fitter, 200, 0.05, RNG.substream(8))
         assert "warning_n_ge_unlabeled" in result.diagnostics
+
+    def test_holds_no_fold_of_the_unlabeled_matrix(self):
+        # each fold's draw is evaluated over the whole matrix into one vector of
+        # length N; with the fold plan's N row indices, the traced peak stays below
+        # half of one fold's N/K x p gather at the benchmark's width p = 50
+        data = _toy_dataset(seed=16, n=200, n_unlabeled=40_000, p=50)
+        k = 5
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bdmi_cf(data, k, make_fitter("bols"), 1000, 0.05, RNG.substream(9))
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        fold_gather = data.unlabeled_features.nbytes / k
+        assert peak < fold_gather / 2, f"traced peak is {peak / fold_gather:.2f} fold gathers"
 
     def test_fold_error_annotated(self):
         data = _toy_dataset(seed=15, n=24, p=4)

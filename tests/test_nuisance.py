@@ -514,3 +514,10 @@ class TestMakeFitter:
             make_fitter("forest")
         with pytest.raises(InvalidParameterError):
             make_fitter("constant:abc")
+
+    def test_more_columns_than_rows(self):
+        # the R factor of [Z, y_c] has min(m, k + 1) = 12 rows here, not k + 1 = 31
+        gen = RNG.substream(44).generator()
+        X = gen.normal(size=(12, 30))
+        y = 1.0 + X[:, 0] - 0.5 * X[:, 1] + 0.1 * gen.normal(size=12)
+        _assert_matches_reference(X, y, GibbsConfig(burn_in=100, sweeps=400), RNG.substream(45))

@@ -10,14 +10,17 @@ For every workload that DIR/BENCHMARK.json names, it runs
 
 R times, and records per end-to-end metric the median, the quartiles and
 the raw values.  Given several checkouts (say, a parent commit and a change),
-it runs them in turn within each repeat, so slow drift of the host falls on
-all of them alike.  It ends with one timed run of the Tier-1 command per
+it runs them in turn within each repeat, in reverse order on every other
+repeat, so slow drift of the host and the cost of going first fall on all of
+them alike.  It ends with one timed run of the Tier-1 command per
 checkout, and keeps its ``--durations=10`` list.
 
 Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag,
 and the file records nproc, the BLAS thread variables, the thread count
-``ssmean._blas.describe()`` reports after ``set_one_thread()``, and the
-Python and numpy versions.  The file goes to the root of the repository that
+``ssmean._blas.describe()`` reports after ``set_one_thread()``, the Python
+and numpy versions, and ``PYTHONDONTWRITEBYTECODE``: when it is set, every
+CLI call compiles ssmean from source, which added about 50 ms to ``setup_s``
+on a 2-core x86-64 box.  The file goes to the root of the repository that
 holds this script.  Only the stdlib is imported.
 """
 
@@ -104,9 +107,10 @@ def measure(checkouts: list[Path], repeats: int, seconds: float) -> list:
         spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
         entries.append({**revision(checkout), **probe(checkout),
                         "workloads": {w["name"]: [] for w in spec["workloads"]}})
-    for _ in range(repeats):
+    for repeat in range(repeats):
         for name in entries[0]["workloads"]:
-            for checkout, entry in zip(checkouts, entries):
+            pairs = list(zip(checkouts, entries))
+            for checkout, entry in pairs[::-1] if repeat % 2 else pairs:
                 if name in entry["workloads"]:
                     entry["workloads"][name].append(perfbench(checkout, name, seconds))
     for checkout, entry in zip(checkouts, entries):
@@ -141,6 +145,7 @@ def main() -> int:
         "repeats": args.repeats,
         "nproc": os.cpu_count(),
         "blas_env": {var: os.environ.get(var) for var in BLAS_VARS},
+        "python_env": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "checkouts": measure(checkouts, args.repeats, args.seconds),
     }
     out = ROOT / f"BENCH_{args.label}.json"
