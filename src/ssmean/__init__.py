@@ -19,12 +19,10 @@ from .estimators import (
     hbdmi_cf,
     imputation_posterior,
     supervised_posterior,
-    variance_report,
 )
 from .nuisance import (
     GibbsConfig,
     NuisancePosterior,
-    RegressionDraw,
     constant_nuisance,
     fit_bols,
     fit_bridge,
@@ -64,7 +62,6 @@ __all__ = [
     "GibbsConfig",
     "MetricsTable",
     "NuisancePosterior",
-    "RegressionDraw",
     "RngStream",
     "SimDesign",
     "SimulationResults",
@@ -93,6 +90,5 @@ __all__ = [
     "sample_student_t_each",
     "supervised_posterior",
     "validate_dataset",
-    "variance_report",
     "zero_nuisance",
 ]

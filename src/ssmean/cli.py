@@ -24,6 +24,8 @@ from .io import load_labeled_csv, load_unlabeled_csv, write_json_atomic, write_t
 from .nuisance import GibbsConfig
 from .rng import GENERATOR_NAME, RngStream
 from .simulation import (
+    ESTIMATORS,
+    SUPERVISED,
     SimDesign,
     emit_density_data,
     parse_method_spec,
@@ -51,7 +53,6 @@ _ALLOWED_KEYS = {
     "compare": _COMMON_KEYS | {"methods"},
     "simulate": _COMMON_KEYS | _DESIGN_KEYS | {"methods", "density_out"},
 }
-_FAMILY_CHOICES = ("sup", "bdmi", "hbdmi", "imp")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class RunConfig:
     labeled: str | None
     unlabeled: str | None
     out: str
-    methods: tuple[str, ...]
+    methods: tuple[str, ...]  # the specs to run; compare's exclude the supervised one
     density_out: str | None
     gibbs: GibbsConfig
     design: dict | None
@@ -97,11 +98,10 @@ class RunConfig:
             payload["labeled"] = self.labeled
             if self.unlabeled is not None:
                 payload["unlabeled"] = self.unlabeled
-        if self.command == "compare":
+        if self.command != "estimate":
             payload["methods"] = list(self.methods)
         if self.command == "simulate":
             payload.update(self.design)
-            payload["methods"] = list(self.methods)
             if self.density_out is not None:
                 payload["density_out"] = self.density_out
         return payload
@@ -172,11 +172,12 @@ def parse_config(
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     method = values["method"]
-    if method not in _FAMILY_CHOICES:
-        raise ConfigError(f"method must be one of {_FAMILY_CHOICES}, got {method!r}")
+    if method not in ESTIMATORS:
+        raise ConfigError(f"method must be one of {tuple(ESTIMATORS)}, got {method!r}")
     nuisance = values["nuisance"]
     if not isinstance(nuisance, str):
         raise ConfigError(f"nuisance must be a string, got {nuisance!r}")
+    method_spec = method if method == SUPERVISED else f"{method}:{nuisance}"
 
     slab = values.get("gibbs_slab_scale")
     if slab is not None:
@@ -192,25 +193,19 @@ def parse_config(
     except SsmeanError as exc:
         raise ConfigError(str(exc)) from exc
 
-    methods: tuple[str, ...] = ()
-    if command == "compare":
-        raw = values.get("methods")
-        if raw is None:
-            raw = [] if method == "sup" else [f"{method}:{nuisance}"]
+    methods: tuple[str, ...] = (method_spec,)
+    if command != "estimate":
+        # simulate defaults to sup plus bdmi; compare runs sup anyway, and takes null as unset
+        default = [SUPERVISED, f"bdmi:{nuisance}"] if command == "simulate" else None
+        raw = values.get("methods", default)
+        if raw is None and command == "compare":
+            raw = [] if method == SUPERVISED else [method_spec]
         if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
             raise ConfigError("config key 'methods' must be a list of strings")
         for spec in raw:
-            family, _ = _checked_spec(spec)
-            if family == "sup":
+            if _checked_spec(spec)[0] == SUPERVISED and command == "compare":
                 raise ConfigError("compare always includes the supervised method; "
                                   "list only semi-supervised methods")
-        methods = tuple(raw)
-    if command == "simulate":
-        raw = values.get("methods", ["sup", f"bdmi:{nuisance}"])
-        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-            raise ConfigError("config key 'methods' must be a list of strings")
-        for spec in raw:
-            _checked_spec(spec)
         methods = tuple(raw)
 
     design = None
@@ -220,15 +215,9 @@ def parse_config(
             raise ConfigError(f"simulate config is missing key(s): {', '.join(missing)}")
         values.setdefault("alpha0", 5.0)
         values.setdefault("reps", 200)
-        design = {
-            "kind": values["kind"],
-            "n": _require_int(values, "n", 1),
-            "n_unlabeled": _require_int(values, "n_unlabeled", 1),
-            "p": _require_int(values, "p", 1),
-            "s": _require_int(values, "s", 1),
-            "alpha0": _require_number(values, "alpha0"),
-            "reps": _require_int(values, "reps", 1),
-        }
+        design = {key: _require_int(values, key, 1) for key in ("n", "n_unlabeled", "p", "s")}
+        design.update(kind=values["kind"], alpha0=_require_number(values, "alpha0"),
+                      reps=_require_int(values, "reps", 1))
         if design["kind"] not in ("correct", "misspec"):
             raise ConfigError(f"kind must be correct|misspec, got {design['kind']!r}")
 
@@ -282,82 +271,57 @@ def _load_dataset(config: RunConfig, needs_unlabeled: bool) -> Dataset:
     return Dataset(outcomes, features, np.zeros((0, features.shape[1])))
 
 
-def _result_payload(result) -> dict:
-    diagnostics = {
-        key: value for key, value in result.diagnostics.items() if key != "elapsed_seconds"
-    }
-    lo, hi = result.ci
-    return {
-        "point_estimate": result.point_estimate,
-        "ci": [lo, hi],
-        "ci_length": hi - lo,
-        "diagnostics": diagnostics,
-    }
-
-
-def _spec_label(config: RunConfig) -> str:
-    if config.method == "sup":
-        return "sup"
-    return f"{config.method}:{config.nuisance}"
-
-
-def cmd_estimate(config: RunConfig) -> Path:
-    """Run one method on ingested data and write a JSON report."""
-    spec = _spec_label(config)
-    data = _load_dataset(config, needs_unlabeled=config.method != "sup")
-    rng = RngStream(config.seed)
-    result = run_method(spec, data, config.k, config.m, config.alpha, config.gibbs, rng)
+def _write_report(config: RunConfig, results: dict, **extra) -> Path:
     report = {
         "schema": REPORT_SCHEMA,
-        "command": "estimate",
+        "command": config.command,
         "rng_algorithm": GENERATOR_NAME,
         "config": config.echo(),
-        "results": {spec: _result_payload(result)},
+        "results": {
+            spec: {
+                "point_estimate": result.point_estimate,
+                "ci": list(result.ci),
+                "ci_length": result.ci[1] - result.ci[0],
+                "diagnostics": result.diagnostics,
+            }
+            for spec, result in results.items()
+        },
+        **extra,
     }
     out = Path(config.out)
     write_json_atomic(out, report)
     return out
+
+
+def cmd_estimate(config: RunConfig) -> Path:
+    """Run one method on ingested data and write a JSON report."""
+    spec, = config.methods
+    data = _load_dataset(config, needs_unlabeled=config.method != SUPERVISED)
+    rng = RngStream(config.seed)
+    result = run_method(spec, data, config.k, config.m, config.alpha, config.gibbs, rng)
+    return _write_report(config, {spec: result})
 
 
 def cmd_compare(config: RunConfig) -> Path:
     """Run supervised plus the requested methods on the same data and seed family."""
     data = _load_dataset(config, needs_unlabeled=True)
     base = RngStream(config.seed)
-    results = {}
-    sup = run_method("sup", data, config.k, config.m, config.alpha, config.gibbs, base.substream(0))
-    results["sup"] = sup
-    for i, spec in enumerate(config.methods):
-        results[spec] = run_method(
-            spec, data, config.k, config.m, config.alpha, config.gibbs, base.substream(i + 1)
-        )
-    sup_len = sup.ci[1] - sup.ci[0]
-    rl = {}
-    for spec, result in results.items():
-        length = result.ci[1] - result.ci[0]
-        rl[spec] = sup_len / length if length > 0 else None
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "compare",
-        "rng_algorithm": GENERATOR_NAME,
-        "config": config.echo(),
-        "results": {spec: _result_payload(result) for spec, result in results.items()},
-        "rl_vs_supervised": rl,
+    # the supervised method draws from substream 0, the listed methods from 1, 2, ...
+    results = {
+        spec: run_method(spec, data, config.k, config.m, config.alpha, config.gibbs,
+                         base.substream(i))
+        for i, spec in enumerate((SUPERVISED, *config.methods))
     }
-    out = Path(config.out)
-    write_json_atomic(out, report)
-    return out
+    lengths = {spec: result.ci[1] - result.ci[0] for spec, result in results.items()}
+    rl = {spec: lengths[SUPERVISED] / length if length > 0 else None
+          for spec, length in lengths.items()}
+    return _write_report(config, results, rl_vs_supervised=rl)
 
 
 def cmd_simulate(config: RunConfig) -> Path:
     """Run the configured replications and write the metrics table."""
     design = SimDesign(
-        kind=config.design["kind"],
-        n=config.design["n"],
-        n_unlabeled=config.design["n_unlabeled"],
-        p=config.design["p"],
-        s=config.design["s"],
-        alpha0=config.design["alpha0"],
-        reps=config.design["reps"],
+        **config.design,
         n_folds=config.k,
         methods=config.methods,
         n_draws=config.m,
@@ -401,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--labeled", help="labeled CSV (outcome first, then features)")
         p.add_argument("--unlabeled", help="unlabeled CSV (feature columns only)")
-        p.add_argument("--method", choices=_FAMILY_CHOICES)
+        p.add_argument("--method", choices=tuple(ESTIMATORS))
         p.add_argument("--nuisance", help="bols|bridge|spike|constant:<c>|zero")
         p.add_argument("--k", type=int, help="number of cross-fitting folds")
         p.add_argument("--m", type=int, help="posterior draws per run")
@@ -422,12 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.command, args.config, overrides)
         with _blas.one_thread():
-            if args.command == "estimate":
-                out = cmd_estimate(config)
-            elif args.command == "compare":
-                out = cmd_compare(config)
-            else:
-                out = cmd_simulate(config)
+            command = {"estimate": cmd_estimate, "compare": cmd_compare, "simulate": cmd_simulate}
+            out = command[args.command](config)
         print(str(out))
         return 0
     except ConfigError as exc:

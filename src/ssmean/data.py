@@ -52,12 +52,6 @@ class FoldPlan:
     unlabeled_folds: list[np.ndarray] = field(repr=False)
     train_sets: list[np.ndarray] = field(repr=False)
 
-    def fold_sizes(self) -> tuple[list[int], list[int]]:
-        return (
-            [len(f) for f in self.labeled_folds],
-            [len(f) for f in self.unlabeled_folds],
-        )
-
 
 def _partition(count: int, n_folds: int, perm: np.ndarray) -> list[np.ndarray]:
     # Remainder rows go one each to the lowest-numbered folds.

@@ -12,16 +12,14 @@ parallel execution of the folds produce identical output for a fixed seed.
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _blas
 from .data import Dataset, make_fold_plan
-from .errors import InsufficientDataError, InvalidParameterError, SsmeanError
-from .nuisance import Fitter, RegressionDraw
+from .errors import DimensionMismatchError, InsufficientDataError, InvalidParameterError, SsmeanError
+from .nuisance import Fitter
 from .rng import GENERATOR_NAME, RngStream
 from .sampling import (
     TComponent,
@@ -40,10 +38,11 @@ __all__ = [
     "hbdmi_cf",
     "supervised_posterior",
     "imputation_posterior",
-    "variance_report",
 ]
 
 MIN_POSTERIOR_DRAWS = 100
+# rows of the unlabeled matrix that hbdmi gathers at a time
+BLOCK_ROWS = 512
 
 # substream labels inside one fold pipeline
 _FIT, _NUISANCE_DRAW, _THETA_BIAS, _THETA_IMPUTED = 0, 1, 2, 3
@@ -61,9 +60,6 @@ class FoldPosterior:
     t_bias: TComponent
     t_imputed: TComponent
     fold_id: int = 0
-
-    def center(self) -> float:
-        return self.t_bias.location + self.t_imputed.location
 
 
 @dataclass(frozen=True)
@@ -93,19 +89,26 @@ def _mean_and_scale_sq(values: np.ndarray) -> tuple[float, float]:
     return mean, scale_sq
 
 
+def _predict(row: np.ndarray, features: np.ndarray) -> np.ndarray:
+    preds = features @ row[1:]
+    preds += row[0]  # in place: one vector of predictions, not two
+    return preds
+
+
 def fold_posterior(
     fold_outcomes: np.ndarray,
     fold_features: np.ndarray,
     fold_unlabeled: np.ndarray,
-    draw: RegressionDraw,
+    draw: np.ndarray,
     fold_id: int = 0,
     unlabeled_rows: np.ndarray | None = None,
 ) -> FoldPosterior:
     """Exact per-fold posterior parameters for one regression draw.
 
-    The bias component has location mean(Y - m(X)) over the labeled fold and
-    squared scale var(Y - m(X)) / n_k; the imputed component is the analogue
-    on the unlabeled fold predictions.  Both use df = rows - 1.
+    ``draw`` is a coefficient row [intercept, coefficients...].  The bias
+    component has location mean(Y - m(X)) over the labeled fold and squared
+    scale var(Y - m(X)) / n_k; the imputed component is the analogue on the
+    unlabeled fold predictions.  Both use df = rows - 1.
 
     Given ``unlabeled_rows``, ``fold_unlabeled`` is the whole unlabeled
     matrix and the fold is those rows of it: the draw is evaluated over the
@@ -114,15 +117,13 @@ def fold_posterior(
     """
     y = np.asarray(fold_outcomes, dtype=float)
     n_k = y.shape[0]
-    n_u = (np.atleast_2d(fold_unlabeled).shape[0] if unlabeled_rows is None
-           else len(unlabeled_rows))
+    n_u = fold_unlabeled.shape[0] if unlabeled_rows is None else len(unlabeled_rows)
     if n_k < 3 or n_u < 3:
         raise InsufficientDataError(
             f"fold {fold_id} needs >= 3 labeled and unlabeled rows, got ({n_k}, {n_u})"
         )
-    resid = y - draw.evaluate(fold_features)
-    mu_bias, scale_bias = _mean_and_scale_sq(resid)
-    preds = draw.evaluate(fold_unlabeled)
+    mu_bias, scale_bias = _mean_and_scale_sq(y - _predict(draw, fold_features))
+    preds = _predict(draw, fold_unlabeled)
     if unlabeled_rows is not None:
         preds = preds[unlabeled_rows]
     mu_imp, scale_imp = _mean_and_scale_sq(preds)
@@ -139,6 +140,17 @@ def _check_draw_count(n_draws: int) -> int:
             f"n_draws must be >= {MIN_POSTERIOR_DRAWS}, got {n_draws}"
         )
     return int(n_draws)
+
+
+def _check_width(rows: np.ndarray, p: int) -> np.ndarray:
+    """A fitter's coefficient rows, checked to be p + 1 wide."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != p + 1:
+        raise DimensionMismatchError(
+            f"nuisance rows have shape {rows.shape}; expected width {p + 1}, "
+            "an intercept and one coefficient per feature"
+        )
+    return rows
 
 
 def _base_diagnostics(data: Dataset, rng: RngStream, n_draws: int, alpha: float) -> dict:
@@ -159,22 +171,56 @@ def _base_diagnostics(data: Dataset, rng: RngStream, n_draws: int, alpha: float)
     return diag
 
 
-def _fold_diagnostics(fp: FoldPosterior, n_k: int, n_u: int, nuisance_meta: dict) -> dict:
-    return {
-        "fold": fp.fold_id,
-        "n_labeled": n_k,
-        "n_unlabeled": n_u,
-        "bias_location": fp.t_bias.location,
-        "bias_scale_sq": fp.t_bias.scale_sq,
-        "bias_df": fp.t_bias.df,
-        "imputed_location": fp.t_imputed.location,
-        "imputed_scale_sq": fp.t_imputed.scale_sq,
-        "imputed_df": fp.t_imputed.df,
-        "nuisance": nuisance_meta,
-    }
+def _result(method: str, draws: np.ndarray, point: float, alpha: float,
+            diagnostics: dict) -> EstimationResult:
+    return EstimationResult(
+        method=method,
+        draws=draws,
+        point_estimate=point,
+        ci=credible_interval(draws, alpha),
+        alpha=alpha,
+        diagnostics=diagnostics,
+    )
 
 
 @_blas.one_thread()
+def _cross_fit(method, fold_step, data, n_folds, fitter, n_draws, alpha, rng) -> EstimationResult:
+    """The cross-fitting loop of ``bdmi`` and ``hbdmi``.
+
+    Each fold fits the nuisance on its labeled complement; ``fold_step(fit,
+    k, labeled_rows, unlabeled_rows, n_draws, fold_rng)`` then returns the
+    fold's n_draws posterior samples, its bias and imputed locations at the
+    point estimate, and its diagnostics.  Aggregated draws are the
+    across-fold averages; the point estimate is the size-weighted
+    combination of the fold locations.
+    """
+    n_draws = _check_draw_count(n_draws)
+    plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
+    per_fold = np.empty((plan.n_folds, n_draws))
+    bias_total = 0.0
+    imputed_total = 0.0
+    fold_diags = []
+    for k, (train, test_l, test_u) in enumerate(
+        zip(plan.train_sets, plan.labeled_folds, plan.unlabeled_folds)
+    ):
+        fold_rng = rng.substream(k + 1)
+        try:
+            fit = fitter(data.features[train], data.outcomes[train], fold_rng.substream(_FIT))
+        except SsmeanError as exc:
+            exc.args = (f"fold {k}: {exc}",)
+            raise
+        per_fold[k], bias, imputed, diag = fold_step(fit, k, test_l, test_u, n_draws, fold_rng)
+        bias_total += len(test_l) * bias
+        imputed_total += len(test_u) * imputed
+        fold_diags.append({"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u),
+                           **diag, "nuisance": fit.metadata})
+    diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
+    diagnostics["n_folds"] = plan.n_folds
+    diagnostics["folds"] = fold_diags
+    point = bias_total / data.n + imputed_total / data.n_unlabeled
+    return _result(method, per_fold.mean(axis=0), point, alpha, diagnostics)
+
+
 def bdmi_cf(
     data: Dataset,
     n_folds: int,
@@ -194,105 +240,88 @@ def bdmi_cf(
     equals the grand means of the residuals over the labeled data and the
     predictions over the unlabeled data.
     """
-    n_draws = _check_draw_count(n_draws)
-    started = time.perf_counter()
-    plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
-    per_fold = np.empty((plan.n_folds, n_draws))
-    bias_total = 0.0
-    imputed_total = 0.0
-    fold_diags = []
-    for k in range(plan.n_folds):
-        fold_rng = rng.substream(k + 1)
-        train = plan.train_sets[k]
-        test_l = plan.labeled_folds[k]
-        test_u = plan.unlabeled_folds[k]
-        try:
-            fit = fitter(data.features[train], data.outcomes[train], fold_rng.substream(_FIT))
-        except SsmeanError as exc:
-            exc.args = (f"fold {k}: {exc}",)
-            raise
-        mtilde = fit.sample(fold_rng.substream(_NUISANCE_DRAW))
+
+    def fold_step(fit, k, test_l, test_u, n_draws, fold_rng):
+        draw = _check_width(fit.sample_many(1, fold_rng.substream(_NUISANCE_DRAW)), data.p)[0]
         fp = fold_posterior(
             data.outcomes[test_l], data.features[test_l],
-            data.unlabeled_features, mtilde, fold_id=k, unlabeled_rows=test_u,
+            data.unlabeled_features, draw, fold_id=k, unlabeled_rows=test_u,
         )
-        per_fold[k] = sample_convolution(
+        draws = sample_convolution(
             fp.t_bias, fp.t_imputed, n_draws, fold_rng.substream(_THETA_BIAS)
         )
-        bias_total += len(test_l) * fp.t_bias.location
-        imputed_total += len(test_u) * fp.t_imputed.location
-        fold_diags.append(_fold_diagnostics(fp, len(test_l), len(test_u), fit.metadata))
-    draws = per_fold.mean(axis=0)
-    point = bias_total / data.n + imputed_total / data.n_unlabeled
-    diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
-    diagnostics["n_folds"] = plan.n_folds
-    diagnostics["folds"] = fold_diags
-    diagnostics["elapsed_seconds"] = time.perf_counter() - started
-    return EstimationResult(
-        method="bdmi",
-        draws=draws,
-        point_estimate=point,
-        ci=credible_interval(draws, alpha),
-        alpha=alpha,
-        diagnostics=diagnostics,
-    )
+        # bias_df, bias_location, bias_scale_sq, and the same for imputed
+        diag = {f"{side}_{key}": value
+                for side, comp in (("bias", fp.t_bias), ("imputed", fp.t_imputed))
+                for key, value in asdict(comp).items()}
+        return draws, fp.t_bias.location, fp.t_imputed.location, diag
+
+    return _cross_fit("bdmi", fold_step, data, n_folds, fitter, n_draws, alpha, rng)
 
 
-def _conform_coef_draws(coef_draws: np.ndarray, p: int) -> np.ndarray:
-    # intercept-only posteriors (constant/zero fixtures) act as zero coefficients
-    if coef_draws.shape[1] == p + 1:
-        return coef_draws
-    if coef_draws.shape[1] == 1:
-        return np.column_stack([coef_draws, np.zeros((coef_draws.shape[0], p))])
-    raise InvalidParameterError(
-        f"nuisance draws have width {coef_draws.shape[1]}, expected {p + 1}"
-    )
+def _centred_r(matrix: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and the R factor of ``matrix[rows]`` centred on them.
+
+    At most BLOCK_ROWS rows are gathered at a time: one pass sums the
+    columns, a second stacks each centred block onto the running R and
+    takes the R factor of the stack (TSQR; Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 2012).  R has min(rows, columns) rows, so a fold
+    narrower than the matrix needs no special case.  Far from the origin a
+    location cancels (the intercept carries -b'xbar); so that it stays as
+    accurate as an average of rounded predictions, the means gain their
+    rounding remainder from the centred data and come back in extended
+    precision where the platform has it.
+    """
+    count = len(rows)
+    blocks = [rows[start:start + BLOCK_ROWS] for start in range(0, count, BLOCK_ROWS)]
+    mean = sum(matrix[block].sum(axis=0) for block in blocks) / count
+    remainder = np.zeros(matrix.shape[1])
+    r = np.empty((0, matrix.shape[1]))
+    for block in blocks:
+        centred = matrix[block]
+        centred -= mean
+        remainder += centred.sum(axis=0)
+        r = np.linalg.qr(np.vstack([r, centred]), mode="r")
+    return mean.astype(np.longdouble) + remainder / count, r
 
 
 def _fold_moments(
     coef_draws: np.ndarray,
-    fold_outcomes: np.ndarray,
-    fold_features: np.ndarray,
-    fold_unlabeled: np.ndarray,
+    labeled: np.ndarray,
+    labeled_rows: np.ndarray,
+    unlabeled: np.ndarray,
+    unlabeled_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw fold moments of many linear draws, from two small R factors.
 
-    For a draw (a, b) the labeled residuals y - a - X b have mean
-    ybar - a - b'xbar and sample variance |R_l (1, -b)|^2 / (n_k - 1), with
-    R_l the R factor of [y, X] centred on its column means; the unlabeled
-    predictions have mean a + b'xbar_u and variance |R_u b|^2 / (n_u - 1).
-    Householder QR is backward stable (Higham 2002, ch. 19) and a sum of
-    squares cannot cancel, so unlike the quadratic form b'Sb this needs no
-    fallback on near-exact fits.  Returns (mu_bias, scale_bias, mu_imp,
-    scale_imp) as ``fold_posterior`` defines them, one entry per row of
-    ``coef_draws``.
+    The fold is ``labeled_rows`` of the matrix ``labeled`` = [y, X] and
+    ``unlabeled_rows`` of the unlabeled matrix.  For a draw (a, b) the
+    labeled residuals y - a - X b have mean ybar - a - b'xbar and sample
+    variance |R_l (1, -b)|^2 / (n_k - 1), with R_l the R factor of the
+    centred [y, X] rows; the unlabeled predictions have mean a + b'xbar_u
+    and variance |R_u b|^2 / (n_u - 1).  Householder QR is backward stable
+    (Higham 2002, ch. 19) and a sum of squares cannot cancel, so unlike the
+    quadratic form b'Sb this needs no fallback on near-exact fits.  Returns
+    (mu_bias, scale_bias, mu_imp, scale_imp) as ``fold_posterior`` defines
+    them, one entry per row of ``coef_draws``.
     """
-    n_k, n_u = fold_features.shape[0], fold_unlabeled.shape[0]
-    labeled = np.column_stack([fold_outcomes, fold_features])
-    labeled_mean = labeled.mean(axis=0)
-    unlabeled_mean = fold_unlabeled.mean(axis=0)
-    labeled_c = labeled - labeled_mean
-    unlabeled_c = fold_unlabeled - unlabeled_mean
-    # R has min(rows, columns) rows, so a fold narrower than p + 1 needs no special case
-    r_labeled = np.linalg.qr(labeled_c, mode="r")
-    r_unlabeled = np.linalg.qr(unlabeled_c, mode="r")
+    n_k, n_u = len(labeled_rows), len(unlabeled_rows)
+    labeled_mean, r_labeled = _centred_r(labeled, labeled_rows)
+    unlabeled_mean, r_unlabeled = _centred_r(unlabeled, unlabeled_rows)
     intercepts, slopes = coef_draws[:, 0], coef_draws[:, 1:]
-    resid_coef = np.column_stack([np.ones(coef_draws.shape[0]), -slopes])
-    scale_bias = np.square(r_labeled @ resid_coef.T).sum(axis=0) / (n_k - 1) / n_k
-    scale_imp = np.square(r_unlabeled @ slopes.T).sum(axis=0) / (n_u - 1) / n_u
-    # far from the origin a location cancels (the intercept carries -b'xbar); so that
-    # it stays as accurate as an average of n_u rounded predictions, the means gain
-    # their rounding remainder from the centred data and the sums run in extended
-    # precision where the platform has it
-    ext = np.longdouble
-    labeled_mean_ext = labeled_mean.astype(ext) + labeled_c.mean(axis=0)
-    unlabeled_mean_ext = unlabeled_mean.astype(ext) + unlabeled_c.mean(axis=0)
-    mu_bias = (labeled_mean_ext[0] - intercepts - slopes @ labeled_mean_ext[1:]).astype(float)
-    mu_imp = (intercepts + slopes @ unlabeled_mean_ext).astype(float)
+    mu_bias = (labeled_mean[0] - intercepts - slopes @ labeled_mean[1:]).astype(float)
+    mu_imp = (intercepts + slopes @ unlabeled_mean).astype(float)
+    # R_l (1, -b) in place, and squared column norms by einsum, so that about one
+    # array of the draws' size is held at a time
+    resid = r_labeled[:, 1:] @ slopes.T
+    np.subtract(r_labeled[:, :1], resid, out=resid)
+    scale_bias = np.einsum("ij,ij->j", resid, resid) / (n_k - 1) / n_k
+    del resid
+    preds = r_unlabeled @ slopes.T
+    scale_imp = np.einsum("ij,ij->j", preds, preds) / (n_u - 1) / n_u
     return mu_bias, scale_bias, mu_imp, scale_imp
 
 
-@_blas.one_thread()
 def hbdmi_cf(
     data: Dataset,
     n_folds: int,
@@ -307,67 +336,32 @@ def hbdmi_cf(
     fold posterior from which a single sample is taken.  The fold moments of
     all draws come from two R factors of the centred fold data (see
     ``_fold_moments``), not from n_draws x n_u prediction matrices.  The
-    point estimate plugs the nuisance posterior mean into the fold-center
-    formula (size-weighted across folds).
+    point estimate plugs the nuisance posterior mean, taken as one more row
+    of the same moments, into the fold-center formula (size-weighted across
+    folds).
     """
-    n_draws = _check_draw_count(n_draws)
-    started = time.perf_counter()
-    plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
-    per_fold = np.empty((plan.n_folds, n_draws))
-    bias_total = 0.0
-    imputed_total = 0.0
-    fold_diags = []
-    for k in range(plan.n_folds):
-        fold_rng = rng.substream(k + 1)
-        train = plan.train_sets[k]
-        test_l = plan.labeled_folds[k]
-        test_u = plan.unlabeled_folds[k]
-        n_k, n_u = len(test_l), len(test_u)
-        try:
-            fit = fitter(data.features[train], data.outcomes[train], fold_rng.substream(_FIT))
-        except SsmeanError as exc:
-            exc.args = (f"fold {k}: {exc}",)
-            raise
-        coef_draws = _conform_coef_draws(
-            fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p
+    labeled = np.column_stack([data.outcomes, data.features])
+
+    def fold_step(fit, k, test_l, test_u, n_draws, fold_rng):
+        rows = np.vstack([
+            _check_width(fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p),
+            _check_width(fit.posterior_mean(), data.p),
+        ])
+        mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
+            rows, labeled, test_l, data.unlabeled_features, test_u
         )
-        y_k, x_k = data.outcomes[test_l], data.features[test_l]
-        u_k = data.unlabeled_features[test_u]
-        mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(coef_draws, y_k, x_k, u_k)
-        per_fold[k] = sample_student_t_each(
-            n_k - 1, mu_bias, scale_bias, fold_rng.substream(_THETA_BIAS)
+        draws = sample_student_t_each(
+            len(test_l) - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
         ) + sample_student_t_each(
-            n_u - 1, mu_imp, scale_imp, fold_rng.substream(_THETA_IMPUTED)
+            len(test_u) - 1, mu_imp[:-1], scale_imp[:-1], fold_rng.substream(_THETA_IMPUTED)
         )
-        mhat = fit.posterior_mean()
-        fold_resid_mean = float(np.mean(y_k - mhat.evaluate(x_k)))
-        fold_pred_mean = float(np.mean(mhat.evaluate(u_k)))
-        bias_total += n_k * fold_resid_mean
-        imputed_total += n_u * fold_pred_mean
-        fold_diags.append(
-            {
-                "fold": k,
-                "n_labeled": n_k,
-                "n_unlabeled": n_u,
-                "bias_location_mean": float(mu_bias.mean()),
-                "imputed_location_mean": float(mu_imp.mean()),
-                "nuisance": fit.metadata,
-            }
-        )
-    draws = per_fold.mean(axis=0)
-    point = bias_total / data.n + imputed_total / data.n_unlabeled
-    diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
-    diagnostics["n_folds"] = plan.n_folds
-    diagnostics["folds"] = fold_diags
-    diagnostics["elapsed_seconds"] = time.perf_counter() - started
-    return EstimationResult(
-        method="hbdmi",
-        draws=draws,
-        point_estimate=point,
-        ci=credible_interval(draws, alpha),
-        alpha=alpha,
-        diagnostics=diagnostics,
-    )
+        diag = {
+            "bias_location_mean": float(mu_bias[:-1].mean()),
+            "imputed_location_mean": float(mu_imp[:-1].mean()),
+        }
+        return draws, float(mu_bias[-1]), float(mu_imp[-1]), diag
+
+    return _cross_fit("hbdmi", fold_step, data, n_folds, fitter, n_draws, alpha, rng)
 
 
 def supervised_posterior(
@@ -375,7 +369,6 @@ def supervised_posterior(
 ) -> EstimationResult:
     """Labeled-data-only baseline: a t posterior centred at the sample mean."""
     n_draws = _check_draw_count(n_draws)
-    started = time.perf_counter()
     y = data.outcomes
     n = y.shape[0]
     if n < 3:
@@ -385,15 +378,7 @@ def supervised_posterior(
     draws = sample_student_t(comp, n_draws, rng.substream(1))
     diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
     diagnostics["posterior"] = {"df": comp.df, "location": comp.location, "scale_sq": comp.scale_sq}
-    diagnostics["elapsed_seconds"] = time.perf_counter() - started
-    return EstimationResult(
-        method="sup",
-        draws=draws,
-        point_estimate=ybar,
-        ci=credible_interval(draws, alpha),
-        alpha=alpha,
-        diagnostics=diagnostics,
-    )
+    return _result("sup", draws, ybar, alpha, diagnostics)
 
 
 @_blas.one_thread()
@@ -407,9 +392,11 @@ def imputation_posterior(
     """Imputation baseline: average nuisance predictions over the unlabeled rows.
 
     The nuisance is fitted on all labeled rows (no splitting); each posterior
-    draw is the unlabeled-data mean of one sampled regression function.  This
-    construction is sensitive to the nuisance posterior and is shipped as a
-    contrast, not as a recommended estimator.
+    draw is the unlabeled-data mean of one sampled regression function, and
+    the point estimate that of the posterior mean.  Both come from the
+    column means of the unlabeled matrix.  This construction is sensitive to
+    the nuisance posterior and is shipped as a contrast, not as a
+    recommended estimator.
 
     For a linear nuisance with posterior mean mhat = (a, b) the point
     estimate a + b'xbar_u equals ybar_l + b'(xbar_u - xbar_l) minus the
@@ -422,50 +409,10 @@ def imputation_posterior(
     shrinks the intercept.
     """
     n_draws = _check_draw_count(n_draws)
-    started = time.perf_counter()
     fit = fitter(data.features, data.outcomes, rng.substream(1))
-    coef_draws = _conform_coef_draws(fit.sample_many(n_draws, rng.substream(2)), data.p)
     aug_mean = np.concatenate([[1.0], data.unlabeled_features.mean(axis=0)])
-    draws = coef_draws @ aug_mean
-    mhat = fit.posterior_mean()
-    point = float(mhat.evaluate(data.unlabeled_features).mean())
+    draws = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p) @ aug_mean
+    point = float(_check_width(fit.posterior_mean(), data.p) @ aug_mean)
     diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
     diagnostics["nuisance"] = fit.metadata
-    diagnostics["elapsed_seconds"] = time.perf_counter() - started
-    return EstimationResult(
-        method="imp",
-        draws=draws,
-        point_estimate=point,
-        ci=credible_interval(draws, alpha),
-        alpha=alpha,
-        diagnostics=diagnostics,
-    )
-
-
-def variance_report(data: Dataset, mhat: RegressionDraw) -> dict:
-    """Plug-in variance decomposition for a fitted regression mean.
-
-    Reports the residual variance over the labeled data, the prediction
-    variance over the unlabeled data, the combined posterior variance proxy,
-    the supervised variance, the residual-prediction covariance (the
-    orthogonality quantity behind the efficiency guarantee), and the implied
-    efficiency ratio.
-    """
-    y = data.outcomes
-    n, n_u = data.n, data.n_unlabeled
-    resid = y - mhat.evaluate(data.features)
-    preds_unlabeled = mhat.evaluate(data.unlabeled_features)
-    sigma1_sq = float(resid.var(ddof=1))
-    sigma2_sq = float(preds_unlabeled.var(ddof=1))
-    tau_sq = sigma1_sq / n + sigma2_sq / n_u
-    supervised_variance = float(y.var(ddof=1)) / n
-    preds_labeled = mhat.evaluate(data.features)
-    cov = float(np.cov(resid, preds_labeled, ddof=1)[0, 1]) if n > 1 else math.nan
-    return {
-        "sigma1_sq": sigma1_sq,
-        "sigma2_sq": sigma2_sq,
-        "tau_sq": tau_sq,
-        "supervised_variance": supervised_variance,
-        "residual_prediction_cov": cov,
-        "efficiency_ratio": supervised_variance / tau_sq if tau_sq > 0 else math.inf,
-    }
+    return _result("imp", draws, point, alpha, diagnostics)

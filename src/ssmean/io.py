@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import all_finite
-from .errors import DataError, ValidationError
+from .errors import DataError, NumericalError, ValidationError
 
 __all__ = [
     "load_labeled_csv",
@@ -183,5 +183,11 @@ def _json_default(obj):
 
 
 def write_json_atomic(path: str | Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """Write strict JSON: a NaN or an infinity raises, as no JSON reader takes it."""
+    try:
+        text = json.dumps(
+            payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False
+        )
+    except ValueError as exc:
+        raise NumericalError(f"report {path} would hold a non-finite number: {exc}") from exc
     write_text_atomic(path, text + "\n")

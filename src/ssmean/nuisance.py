@@ -1,7 +1,8 @@
 """Posteriors over linear regression functions fitted on a training fold.
 
-Every fitter returns a :class:`NuisancePosterior` whose draws are
-:class:`RegressionDraw` values on the original data scale.  The fitters are
+Every fitter returns a :class:`NuisancePosterior` whose draws are regression
+functions on the original data scale, each a coefficient row
+``[intercept, coef_1, ..., coef_p]`` of width p + 1.  The fitters are
 pure functions of their inputs plus an explicit random stream, so concurrent
 use is race-free.
 """
@@ -27,7 +28,6 @@ from .errors import (
 from .rng import RngStream
 
 __all__ = [
-    "RegressionDraw",
     "NuisancePosterior",
     "GibbsConfig",
     "fit_bols",
@@ -44,46 +44,17 @@ RIDGE_GRID_FLOOR = 1e-4
 RIDGE_CV_FOLDS = 10
 
 
-@dataclass(frozen=True)
-class RegressionDraw:
-    """One sampled regression function: x -> intercept + coefficients . x."""
-
-    intercept: float
-    coefficients: np.ndarray
-
-    def evaluate(self, features: np.ndarray) -> np.ndarray:
-        """Rowwise predictions.  Empty coefficients act as the zero vector."""
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        if self.coefficients.size == 0:
-            return np.full(features.shape[0], self.intercept)
-        if features.shape[1] != self.coefficients.shape[0]:
-            raise DimensionMismatchError(
-                f"feature width {features.shape[1]} != coefficient length "
-                f"{self.coefficients.shape[0]}"
-            )
-        preds = features @ self.coefficients
-        preds += self.intercept  # in place: one vector of predictions, not two
-        return preds
-
-
-def _draw_from_vector(vec: np.ndarray) -> RegressionDraw:
-    return RegressionDraw(float(vec[0]), np.asarray(vec[1:], dtype=float))
-
-
 class NuisancePosterior:
     """Base class: a sampleable posterior over regression functions."""
 
-    method: str
-    metadata: dict
-
-    def sample(self, rng: RngStream) -> RegressionDraw:
-        return _draw_from_vector(self.sample_many(1, rng)[0])
+    metadata: dict  # holds "method", the fitter's name
 
     def sample_many(self, count: int, rng: RngStream) -> np.ndarray:
         """`count` posterior draws as rows [intercept, coefficients...]."""
         raise NotImplementedError
 
-    def posterior_mean(self) -> RegressionDraw:
+    def posterior_mean(self) -> np.ndarray:
+        """The posterior mean as one row [intercept, coefficients...]."""
         raise NotImplementedError
 
 
@@ -104,7 +75,6 @@ class MultivariateTPosterior(NuisancePosterior):
         scale_factor: np.ndarray,
         metadata: dict | None = None,
     ):
-        self.method = method
         self.df = float(df)
         self.location = np.asarray(location, dtype=float)
         self.scale_factor = np.asarray(scale_factor, dtype=float)
@@ -122,15 +92,14 @@ class MultivariateTPosterior(NuisancePosterior):
         gam = g.gamma(self.df / 2.0, 2.0 / self.df, size=count)
         return self.location + (z @ self.scale_factor.T) / np.sqrt(gam)[:, None]
 
-    def posterior_mean(self) -> RegressionDraw:
-        return _draw_from_vector(self.location)
+    def posterior_mean(self) -> np.ndarray:
+        return self.location
 
 
 class EmpiricalPosterior(NuisancePosterior):
     """Posterior represented by stored draws (retained MCMC sweeps)."""
 
     def __init__(self, method: str, draws: np.ndarray, metadata: dict | None = None):
-        self.method = method
         self.draws = np.asarray(draws, dtype=float)
         self.metadata = dict(metadata or {})
         self.metadata.setdefault("method", method)
@@ -141,8 +110,8 @@ class EmpiricalPosterior(NuisancePosterior):
         idx = rng.generator().integers(0, self.draws.shape[0], size=count)
         return self.draws[idx]
 
-    def posterior_mean(self) -> RegressionDraw:
-        return _draw_from_vector(self.draws.mean(axis=0))
+    def posterior_mean(self) -> np.ndarray:
+        return self.draws.mean(axis=0)
 
 
 def _point_mass(method: str, vec: np.ndarray, df: float, metadata: dict) -> MultivariateTPosterior:
@@ -150,19 +119,18 @@ def _point_mass(method: str, vec: np.ndarray, df: float, metadata: dict) -> Mult
     return MultivariateTPosterior(method, df, vec, np.zeros((d, d)), metadata)
 
 
-def constant_nuisance(value: float) -> NuisancePosterior:
-    """Degenerate posterior whose every draw is the constant function x -> value."""
+def constant_nuisance(value: float, p: int) -> NuisancePosterior:
+    """Point mass at the constant function x -> value on p features."""
     if not math.isfinite(value):
         raise InvalidParameterError(f"constant nuisance value must be finite, got {value}")
-    return _point_mass("constant", np.array([float(value)]), df=1.0, metadata={"value": float(value)})
+    row = np.zeros(p + 1)
+    row[0] = value
+    return _point_mass("constant", row, df=1.0, metadata={"value": float(value)})
 
 
-def zero_nuisance() -> NuisancePosterior:
-    """Point mass at the zero function."""
-    post = _point_mass("zero", np.array([0.0]), df=1.0, metadata={})
-    post.method = "zero"
-    post.metadata["method"] = "zero"
-    return post
+def zero_nuisance(p: int) -> NuisancePosterior:
+    """Point mass at the zero function on p features."""
+    return _point_mass("zero", np.zeros(p + 1), df=1.0, metadata={})
 
 
 def _check_xy(features: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +277,8 @@ def fit_bridge(
 
     if s_y == 0.0:
         loc = T @ np.concatenate([[ybar], np.zeros(k)])
-        meta.update({"lambda_hat": math.inf, "degenerate": True})
+        # no penalty is chosen: the report writes null, and "degenerate" gives the reason
+        meta.update({"lambda_hat": None, "degenerate": True})
         return _point_mass("bridge", loc, df, meta)
 
     if penalty is not None:
@@ -354,13 +323,7 @@ def fit_bridge(
             "outcome_sd": s_y,
         }
     )
-    post = MultivariateTPosterior("bridge", df, T @ loc_std, T @ factor_std, meta)
-    # standardized-scale state, kept for algebraic round-trip checks
-    post._loc_std = loc_std
-    post._xbar = xbar
-    post._sdev = sdev
-    post._keep = keep
-    return post
+    return MultivariateTPosterior("bridge", df, T @ loc_std, T @ factor_std, meta)
 
 
 @dataclass(frozen=True)
@@ -526,13 +489,13 @@ def make_fitter(name: str, gibbs: GibbsConfig | None = None) -> Fitter:
     if name == "spike":
         return lambda X, y, rng: fit_spike_slab(X, y, gibbs, rng)
     if name == "zero":
-        return lambda X, y, rng: zero_nuisance()
+        return lambda X, y, rng: zero_nuisance(X.shape[1])
     if name.startswith("constant:"):
         try:
             value = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise InvalidParameterError(f"bad constant nuisance spec {name!r}") from exc
-        return lambda X, y, rng: constant_nuisance(value)
+        return lambda X, y, rng: constant_nuisance(value, X.shape[1])
     raise InvalidParameterError(
         f"unknown nuisance method {name!r}; expected one of {NUISANCE_NAMES} "
         "(constant takes the form constant:<value>)"

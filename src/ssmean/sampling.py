@@ -48,18 +48,6 @@ class TComponent:
                 f"TComponent.scale_sq must be non-negative, got {self.scale_sq}"
             )
 
-    def mean(self) -> float:
-        """Distribution mean; defined for df > 1."""
-        if self.df <= 1:
-            raise InvalidParameterError(f"t mean undefined for df={self.df}")
-        return self.location
-
-    def variance(self) -> float:
-        """Distribution variance; defined for df > 2."""
-        if self.df <= 2:
-            raise InvalidParameterError(f"t variance undefined for df={self.df}")
-        return self.df / (self.df - 2.0) * self.scale_sq
-
 
 def _check_count(count: int) -> int:
     if int(count) != count or count < 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "SimDesign",
     "MetricsTable",
     "SimulationResults",
+    "ESTIMATORS",
     "parse_method_spec",
     "run_method",
     "signal_coefficients",
@@ -50,15 +51,23 @@ __all__ = [
 DENSITY_GRID_SIZE = 101
 
 SUPERVISED = "sup"
-_FAMILIES = ("sup", "bdmi", "hbdmi", "imp")
+
+# method family -> estimator(data, fitter, n_folds, n_draws, alpha, rng); the
+# estimators are looked up when called, so a wrapped module attribute is seen
+ESTIMATORS = {
+    "sup": lambda data, fitter, k, m, alpha, rng: supervised_posterior(data, m, alpha, rng),
+    "bdmi": lambda data, fitter, k, m, alpha, rng: bdmi_cf(data, k, fitter, m, alpha, rng),
+    "hbdmi": lambda data, fitter, k, m, alpha, rng: hbdmi_cf(data, k, fitter, m, alpha, rng),
+    "imp": lambda data, fitter, k, m, alpha, rng: imputation_posterior(data, fitter, m, alpha, rng),
+}
 
 
 def parse_method_spec(spec: str) -> tuple[str, str | None]:
     """Split 'bdmi:bols' into (family, nuisance); 'sup' has no nuisance."""
     family, _, nuisance = spec.partition(":")
-    if family not in _FAMILIES:
+    if family not in ESTIMATORS:
         raise InvalidParameterError(
-            f"unknown method {family!r}; expected one of {_FAMILIES}"
+            f"unknown method {family!r}; expected one of {tuple(ESTIMATORS)}"
         )
     if family == SUPERVISED:
         if nuisance:
@@ -227,23 +236,11 @@ class MetricsTable:
     ore_star: float | None
 
     def to_json_dict(self) -> dict:
-        d = self.design
         return {
             "schema": 1,
-            "design": {
-                "kind": d.kind,
-                "n": d.n,
-                "n_unlabeled": d.n_unlabeled,
-                "p": d.p,
-                "s": d.s,
-                "alpha0": d.alpha0,
-                "reps": d.reps,
-                "n_folds": d.n_folds,
-                "methods": list(d.methods),
-                "n_draws": d.n_draws,
-                "alpha": d.alpha,
-                "seed": d.seed,
-            },
+            # every design field but the sampler settings, which the config echo carries
+            "design": {f.name: getattr(self.design, f.name) for f in fields(self.design)
+                       if f.name != "gibbs"},
             "theta0": self.theta0,
             "ore": self.ore,
             "ore_star": self.ore_star,
@@ -300,14 +297,8 @@ def run_method(
 ) -> EstimationResult:
     """Dispatch a method spec like 'sup' or 'bdmi:bols' onto a dataset."""
     family, nuisance = parse_method_spec(spec)
-    if family == "sup":
-        return supervised_posterior(data, n_draws, alpha, rng)
-    fitter = make_fitter(nuisance, gibbs)
-    if family == "bdmi":
-        return bdmi_cf(data, n_folds, fitter, n_draws, alpha, rng)
-    if family == "hbdmi":
-        return hbdmi_cf(data, n_folds, fitter, n_draws, alpha, rng)
-    return imputation_posterior(data, fitter, n_draws, alpha, rng)
+    fitter = None if nuisance is None else make_fitter(nuisance, gibbs)
+    return ESTIMATORS[family](data, fitter, n_folds, n_draws, alpha, rng)
 
 
 def _replicate(design: SimDesign, rep: int, keep_draws: bool) -> dict:
@@ -376,12 +367,11 @@ def run_replications(
     )
 
     mse = {m: float(np.mean((estimates[m] - theta0) ** 2)) for m in design.methods}
-    re: dict = {}
-    if SUPERVISED in design.methods:
-        for m in design.methods:
-            re[m] = mse[SUPERVISED] / mse[m] if mse[m] > 0 else math.inf
-    else:
-        re = {m: None for m in design.methods}
+    # null without the supervised baseline, and for an exact method, whose ratio is infinite
+    re = {
+        m: mse[SUPERVISED] / mse[m] if SUPERVISED in mse and mse[m] > 0 else None
+        for m in design.methods
+    }
     table = MetricsTable(
         design=design,
         theta0=theta0,

@@ -19,17 +19,18 @@ printed for reference and not asserted.
 
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.stats import kstest
-from _oracles import convolution_quantiles
+from _oracles import bridge_reference, convolution_quantiles
 
 from ssmean import (
     Dataset,
-    RegressionDraw,
     RngStream,
     SimDesign,
     TComponent,
@@ -46,11 +47,29 @@ from ssmean import (
     sample_quantile,
     zero_nuisance,
 )
+from ssmean import _blas
 from ssmean.cli import main
 from ssmean.nuisance import MultivariateTPosterior
 from ssmean.simulation import true_theta
 
 JOBS = min(4, os.cpu_count() or 1)
+
+
+def _one_blas_thread() -> None:
+    # a spawned worker imports this module, and with it scipy, before it runs this,
+    # so scipy's own OpenBLAS (which the ridge posterior below calls) is set as well
+    _blas.set_one_thread()
+
+
+def _pool_map(fn, *args):
+    """`fn` over `args` on two workers with one BLAS thread each, results in order.
+
+    Spawned, not forked, so no worker inherits a thread of this process.
+    """
+    count = len(args[0])
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_one_blas_thread) as pool:
+        return list(pool.map(fn, *args, chunksize=max(1, count // 8)))
 
 
 def _criterion(number: int, description: str, checks: list) -> None:
@@ -103,7 +122,7 @@ def test_criterion_1_exact_algebra():
     # per-fold posterior hand example
     fp = fold_posterior(
         np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)),
-        np.array([[1.5], [3.5], [5.5]]), RegressionDraw(0.5, np.array([1.0])),
+        np.array([[1.5], [3.5], [5.5]]), np.array([0.5, 1.0]),
     )
     hand_ok = (
         fp.t_bias.df == 2
@@ -121,10 +140,11 @@ def test_criterion_1_exact_algebra():
     X = gen.normal(size=(9, 2))
     Xu = gen.normal(size=(11, 2))
     coef = gen.normal(size=2)
-    base = fold_posterior(y, X, Xu, RegressionDraw(0.3, coef))
-    shift = fold_posterior(y, X, Xu, RegressionDraw(0.3 + 17.0, coef))
+    base = fold_posterior(y, X, Xu, np.concatenate([[0.3], coef]))
+    shift = fold_posterior(y, X, Xu, np.concatenate([[0.3 + 17.0], coef]))
     shift_err = max(
-        abs(shift.center() - base.center()),
+        abs(shift.t_bias.location + shift.t_imputed.location
+            - base.t_bias.location - base.t_imputed.location),
         abs(shift.t_bias.scale_sq - base.t_bias.scale_sq),
         abs(shift.t_imputed.scale_sq - base.t_imputed.scale_sq),
     )
@@ -133,7 +153,7 @@ def test_criterion_1_exact_algebra():
     # zero-nuisance point estimate equals the grand labeled mean
     gen = RngStream(42, 7).generator()
     data = Dataset(gen.normal(size=50), gen.normal(size=(50, 2)), gen.normal(size=(40, 2)))
-    result = bdmi_cf(data, 4, lambda X, y, r: zero_nuisance(), 200, 0.05, RngStream(1))
+    result = bdmi_cf(data, 4, lambda X, y, r: zero_nuisance(2), 200, 0.05, RngStream(1))
     mean_err = abs(result.point_estimate - data.outcomes.mean())
     checks.append(("zero_nuisance_grand_mean", mean_err <= 1e-12, f"err {mean_err:.2e}"))
 
@@ -141,11 +161,13 @@ def test_criterion_1_exact_algebra():
     gen = RngStream(43, 7).generator()
     Xb = gen.normal(loc=2.0, scale=3.0, size=(60, 4))
     yb = 1.0 + Xb @ np.array([0.5, -1.0, 0.0, 0.25]) + 0.2 * gen.normal(size=60)
-    post = fit_bridge(Xb, yb)
+    post, ref = fit_bridge(Xb, yb), bridge_reference(Xb, yb)
     x_new = gen.normal(loc=2.0, scale=3.0, size=(10, 4))
-    direct = post.posterior_mean().evaluate(x_new)
-    z_new = (x_new - post._xbar) / post._sdev
-    via_std = post._loc_std[0] + z_new[:, post._keep] @ post._loc_std[1:]
+    mean_row = post.posterior_mean()
+    direct = x_new @ mean_row[1:] + mean_row[0]
+    # the reference keeps its standardized-scale state
+    z_new = (x_new - ref._xbar) / ref._sdev
+    via_std = ref._loc_std[0] + z_new[:, ref._keep] @ ref._loc_std[1:]
     rt_err = float(np.max(np.abs(direct - via_std)))
     checks.append(("bridge_round_trip", rt_err <= 1e-10, f"max err {rt_err:.2e}"))
 
@@ -155,20 +177,25 @@ def test_criterion_1_exact_algebra():
 # --- criterion 2: convolution oracle ------------------------------------------
 
 
+def _convolution_error(a: TComponent, b: TComponent, i: int) -> float:
+    """Worst sampled-quantile error over tolerance of parameter set i."""
+    draws = sample_convolution(a, b, 10**7, RngStream(7000, i))
+    numeric = convolution_quantiles(a, b, [0.1, 0.5, 0.9])
+    tol = 0.005 * max(math.sqrt(a.scale_sq), math.sqrt(b.scale_sq))
+    sampled = sample_quantile(draws, [0.1, 0.5, 0.9])
+    return max(abs(value - expected) / tol for value, expected in zip(sampled, numeric))
+
+
 def test_criterion_2_convolution_oracle():
     gen = RngStream(918273).generator()
-    worst = 0.0
-    for i in range(20):
+    pairs = []
+    for _ in range(20):
         a = TComponent(df=float(gen.integers(5, 41)), location=float(gen.uniform(-3, 3)),
                        scale_sq=float(gen.uniform(0.2, 2.5)))
         b = TComponent(df=float(gen.integers(5, 41)), location=float(gen.uniform(-3, 3)),
                        scale_sq=float(gen.uniform(0.2, 2.5)))
-        draws = sample_convolution(a, b, 10**7, RngStream(7000, i))
-        numeric = convolution_quantiles(a, b, [0.1, 0.5, 0.9])
-        tol = 0.005 * max(math.sqrt(a.scale_sq), math.sqrt(b.scale_sq))
-        sampled = sample_quantile(draws, [0.1, 0.5, 0.9])
-        for value, expected in zip(sampled, numeric):
-            worst = max(worst, abs(value - expected) / tol)
+        pairs.append((a, b))
+    worst = max(_pool_map(_convolution_error, *zip(*pairs), range(len(pairs))))
     _criterion(
         2, "sampled vs numeric t-convolution quantiles, 20 parameter sets",
         [("worst_error_over_tolerance", worst <= 1.0, f"{worst:.3f}")],
@@ -300,7 +327,7 @@ def _imputation_contrast_hits(rep: int) -> dict:
 
 
 def test_criterion_5_imputation_failure():
-    hits = [_imputation_contrast_hits(rep) for rep in range(IMPUTATION_DESIGN.reps)]
+    hits = _pool_map(_imputation_contrast_hits, range(IMPUTATION_DESIGN.reps))
     covp = {tag: float(np.mean([h[tag] for h in hits])) for tag in hits[0]}
     # with a flat-prior intercept imputation is the unbiased difference
     # estimator here, so its coverage is reported, never asserted

@@ -206,6 +206,28 @@ class TestEstimateCommand:
         # each fit checks the outcome's spread before any arithmetic can overflow
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("method", ["bdmi", "hbdmi", "imp"])
+    def test_constant_outcome_report_is_strict_json(self, tmp_path, method):
+        # bridge chooses no penalty for a constant outcome: lambda_hat is null, not
+        # Infinity, and the report parses under a reader that takes no such token
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path, outcome_scale=0.0)
+        out = tmp_path / "report.json"
+        code = main(
+            ["estimate", "--labeled", labeled, "--unlabeled", unlabeled, "--method", method,
+             "--nuisance", "bridge", "--k", "4", "--m", "200", "--out", str(out)]
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        result = json.loads(out.read_text(), parse_constant=reject)["results"][f"{method}:bridge"]
+        assert result["ci"] == [0.0, 0.0]
+        diagnostics = result["diagnostics"]
+        fits = ([diagnostics["nuisance"]] if method == "imp"
+                else [fold["nuisance"] for fold in diagnostics["folds"]])
+        assert all(fit["lambda_hat"] is None and fit["degenerate"] for fit in fits)
+
     def test_config_error_exit_code(self, tmp_path):
         labeled = _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n")
         code = main(["estimate", "--labeled", labeled, "--method", "sup", "--alpha", "1.5"])
@@ -217,13 +239,13 @@ def budget_csvs(tmp_path_factory):
     return _synthetic_csvs(tmp_path_factory.mktemp("budget"), n=400, n_unlabeled=40_000, p=20)
 
 
-@pytest.mark.parametrize("method, folds_over", [("bdmi", 1), ("imp", 1), ("hbdmi", 4)])
+@pytest.mark.parametrize("method, folds_over", [("bdmi", 1), ("imp", 1), ("hbdmi", 1)])
 def test_estimate_holds_the_unlabeled_matrix_once(tmp_path, budget_csvs, method, folds_over):
     # numpy reports its buffers to tracemalloc, so the traced peak of an in-process
     # run counts what the run allocates, not the interpreter and modules loaded before.
-    # bdmi and imp hold nothing of the unlabeled matrix's size beside it, only vectors
-    # of length N (CSV parsing takes the rest of one fold's worth); hbdmi also holds a
-    # fold's gather, its centred copy and the copy np.linalg.qr takes: K = 5.
+    # No method holds anything of the unlabeled matrix's size beside it: bdmi holds
+    # vectors of length N, imp the column means, hbdmi one block of a fold's rows
+    # (CSV parsing takes the rest of one fold's worth).
     labeled, unlabeled, data = budget_csvs
     k = 5
     args = ["estimate", "--labeled", labeled, "--unlabeled", unlabeled, "--method", method,

@@ -16,21 +16,24 @@ from ssmean.errors import (
 RNG = RngStream(31337)
 
 
+def _sizes(plan):
+    return [len(f) for f in plan.labeled_folds], [len(f) for f in plan.unlabeled_folds]
+
+
 class TestMakeFoldPlan:
     def test_divisible_case_complements(self):
         plan = make_fold_plan(6, 6, 2, RNG)
-        sizes_l, sizes_u = plan.fold_sizes()
-        assert sizes_l == [3, 3] and sizes_u == [3, 3]
+        assert _sizes(plan) == ([3, 3], [3, 3])
         np.testing.assert_array_equal(plan.train_sets[0], plan.labeled_folds[1])
         np.testing.assert_array_equal(plan.train_sets[1], plan.labeled_folds[0])
 
     def test_remainder_rule(self):
         plan = make_fold_plan(10, 10000, 3, RNG)
-        assert plan.fold_sizes()[0] == [4, 3, 3]
+        assert _sizes(plan)[0] == [4, 3, 3]
 
     def test_paper_scale_sizes(self):
         plan = make_fold_plan(500, 10000, 5, RNG)
-        assert plan.fold_sizes() == ([100] * 5, [2000] * 5)
+        assert _sizes(plan) == ([100] * 5, [2000] * 5)
 
     def test_labeled_side_too_small(self):
         with pytest.raises(InsufficientDataError, match="labeled"):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ssmean import (
     Dataset,
-    RegressionDraw,
     RngStream,
     SimDesign,
     TComponent,
@@ -23,12 +22,11 @@ from ssmean import (
     sample_convolution,
     sample_quantile,
     supervised_posterior,
-    variance_report,
     zero_nuisance,
 )
-from ssmean.nuisance import constant_nuisance
-from ssmean.errors import InsufficientDataError, InvalidParameterError
-from ssmean.estimators import _conform_coef_draws, _fold_moments
+from ssmean.nuisance import MultivariateTPosterior, constant_nuisance
+from ssmean.errors import DimensionMismatchError, InsufficientDataError, InvalidParameterError
+from ssmean.estimators import BLOCK_ROWS, _fold_moments
 from ssmean.simulation import signal_coefficients
 
 RNG = RngStream(555001)
@@ -43,17 +41,21 @@ def _toy_dataset(seed=0, n=40, n_unlabeled=200, p=2):
 
 
 def _const_fitter(value):
-    return lambda X, y, rng: constant_nuisance(value)
+    return lambda X, y, rng: constant_nuisance(value, X.shape[1])
 
 
 def _zero_fitter(X, y, rng):
-    return zero_nuisance()
+    return zero_nuisance(X.shape[1])
+
+
+def _center(fp):
+    return fp.t_bias.location + fp.t_imputed.location
 
 
 class TestFoldPosterior:
     def test_hand_example(self):
         # labeled residuals [0.5, 1.5, 2.5]; unlabeled predictions [2, 4, 6]
-        draw = RegressionDraw(0.5, np.array([1.0]))
+        draw = np.array([0.5, 1.0])
         fp = fold_posterior(
             np.array([1.0, 2.0, 3.0]),
             np.zeros((3, 1)),
@@ -66,16 +68,16 @@ class TestFoldPosterior:
         assert fp.t_imputed.df == 2
         assert fp.t_imputed.location == pytest.approx(4.0)
         assert fp.t_imputed.scale_sq == pytest.approx(4 / 3)
-        assert fp.center() == pytest.approx(5.5)
+        assert _center(fp) == pytest.approx(5.5)
 
     def test_zero_nuisance_collapses_imputed_part(self):
         y = np.array([2.0, 4.0, 9.0, 1.0])
-        draw = zero_nuisance().posterior_mean()
+        draw = zero_nuisance(1).posterior_mean()
         fp = fold_posterior(y, np.zeros((4, 1)), np.zeros((6, 1)), draw)
         assert fp.t_imputed.df == 5
         assert fp.t_imputed.location == 0.0
         assert fp.t_imputed.scale_sq == 0.0
-        assert fp.center() == pytest.approx(y.mean())
+        assert _center(fp) == pytest.approx(y.mean())
 
     def test_constant_shift_invariance(self):
         gen = RNG.substream(1).generator()
@@ -83,9 +85,9 @@ class TestFoldPosterior:
         X = gen.normal(size=(8, 2))
         Xu = gen.normal(size=(9, 2))
         coef = np.array([0.4, -1.2])
-        base = fold_posterior(y, X, Xu, RegressionDraw(0.7, coef))
-        shifted = fold_posterior(y, X, Xu, RegressionDraw(0.7 + 11.5, coef))
-        assert shifted.center() == pytest.approx(base.center(), abs=1e-12)
+        base = fold_posterior(y, X, Xu, np.concatenate([[0.7], coef]))
+        shifted = fold_posterior(y, X, Xu, np.concatenate([[0.7 + 11.5], coef]))
+        assert _center(shifted) == pytest.approx(_center(base), abs=1e-12)
         assert shifted.t_bias.scale_sq == pytest.approx(base.t_bias.scale_sq, abs=1e-12)
         assert shifted.t_imputed.scale_sq == pytest.approx(base.t_imputed.scale_sq, abs=1e-12)
         assert shifted.t_bias.location == pytest.approx(base.t_bias.location - 11.5, abs=1e-12)
@@ -95,12 +97,12 @@ class TestFoldPosterior:
         with pytest.raises(InsufficientDataError):
             fold_posterior(
                 np.array([1.0, 2.0]), np.zeros((2, 1)), np.zeros((5, 1)),
-                zero_nuisance().posterior_mean(),
+                zero_nuisance(1).posterior_mean(),
             )
         with pytest.raises(InsufficientDataError):
             fold_posterior(
                 np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros((5, 1)),
-                zero_nuisance().posterior_mean(), unlabeled_rows=np.array([0, 4]),
+                zero_nuisance(1).posterior_mean(), unlabeled_rows=np.array([0, 4]),
             )
 
     def test_unlabeled_rows_of_the_whole_matrix_match_the_gathered_fold(self):
@@ -108,7 +110,7 @@ class TestFoldPosterior:
         y, X = gen.normal(size=8), gen.normal(size=(8, 3))
         Xu = 50.0 + gen.normal(size=(41, 3))
         rows = np.sort(gen.choice(41, size=13, replace=False))
-        draw = RegressionDraw(-2.5, np.array([0.4, -1.2, 3.0]))
+        draw = np.array([-2.5, 0.4, -1.2, 3.0])
         gathered = fold_posterior(y, X, Xu[rows], draw, fold_id=3)
         indexed = fold_posterior(y, X, Xu, draw, fold_id=3, unlabeled_rows=rows)
         assert indexed.t_bias == gathered.t_bias
@@ -116,6 +118,22 @@ class TestFoldPosterior:
         # a row's product may round differently at another position in the matrix
         assert indexed.t_imputed.location == pytest.approx(gathered.t_imputed.location, rel=1e-14)
         assert indexed.t_imputed.scale_sq == pytest.approx(gathered.t_imputed.scale_sq, rel=1e-12)
+
+    def test_oracle_regression_recovers_design_variances(self):
+        # with the true mean plugged in over all rows, n * tau^2 -> sigma0^2 + (n/N) Var(m0)
+        design = SimDesign(kind="correct", n=2000, n_unlabeled=40000, p=10, s=4, seed=9)
+        data = generate_dataset(design, RngStream(31, 0))
+        beta0 = signal_coefficients(10, 4)
+        truth = np.concatenate([[5.0], beta0])
+        fp = fold_posterior(data.outcomes, data.features, data.unlabeled_features, truth)
+        tau_sq = fp.t_bias.scale_sq + fp.t_imputed.scale_sq
+        beta_norm_sq = float(beta0 @ beta0)
+        sigma0_sq = beta_norm_sq / 5.0
+        expected = sigma0_sq + (design.n / design.n_unlabeled) * beta_norm_sq
+        assert design.n * tau_sq == pytest.approx(expected, rel=0.05)
+        # the residuals of the true mean are orthogonal to its predictions
+        preds = data.features @ beta0
+        assert abs(float(np.cov(data.outcomes - 5.0 - preds, preds)[0, 1])) < 0.05
 
 
 class TestCredibleInterval:
@@ -281,8 +299,13 @@ def _fitted_fold(nuisance="bols", m=60, n_k=10, n_u=50, p=4, noise=1.0, y_scale=
     y_l, X_l = rows(n_k)
     _, X_u = rows(n_u)
     fit = make_fitter(nuisance)(X_train, y_train, RngStream(seed, 92))
-    coef_draws = _conform_coef_draws(fit.sample_many(n_draws, RngStream(seed, 93)), p)
-    return coef_draws, y_l, X_l, X_u
+    return fit.sample_many(n_draws, RngStream(seed, 93)), y_l, X_l, X_u
+
+
+def _moments(coef_draws, y, X_l, X_u):
+    """``_fold_moments`` on a fold that is every row of its two matrices."""
+    return _fold_moments(coef_draws, np.column_stack([y, X_l]), np.arange(len(y)),
+                         X_u, np.arange(X_u.shape[0]))
 
 
 def _extended_reference(coef_draws, y, X_l, X_u):
@@ -304,7 +327,7 @@ class TestFoldMoments:
             dict(m=40, n_k=5, n_u=50, p=10),  # labeled fold narrower than p + 1
             dict(m=20, n_k=3, n_u=3),  # both folds at the 3-row floor
             dict(nuisance="bridge", constant_column=True),
-            dict(nuisance="zero"),  # width-1 draws
+            dict(nuisance="zero"),
             dict(nuisance="constant:2.5"),
             dict(y_scale=1e6),
         ],
@@ -313,9 +336,24 @@ class TestFoldMoments:
     )
     def test_matches_dense_reference(self, case):
         fold = _fitted_fold(**case)
-        for name, new, dense in zip(MOMENTS, _fold_moments(*fold), hbdmi_fold_reference(*fold)):
+        for name, new, dense in zip(MOMENTS, _moments(*fold), hbdmi_fold_reference(*fold)):
             assert new.shape == dense.shape == (fold[0].shape[0],)
             assert _max_error(new, dense) <= 1e-10 * np.max(np.abs(dense)), name
+
+    def test_rows_of_the_whole_matrices_match_the_gathered_fold(self):
+        # the fold's rows, scattered over matrices several blocks long, give the
+        # moments of the gathered fold up to summation order
+        coef_draws, y, X_l, X_u = _fitted_fold(m=200, n_k=40, n_u=3 * BLOCK_ROWS + 7, p=6)
+        gen = RngStream(7, 94).generator()
+        labeled = gen.normal(size=(3 * len(y), 7))
+        unlabeled = gen.normal(size=(2 * X_u.shape[0], 6))
+        rows_l = np.sort(gen.choice(labeled.shape[0], size=len(y), replace=False))
+        rows_u = np.sort(gen.choice(unlabeled.shape[0], size=X_u.shape[0], replace=False))
+        labeled[rows_l] = np.column_stack([y, X_l])
+        unlabeled[rows_u] = X_u
+        scattered = _fold_moments(coef_draws, labeled, rows_l, unlabeled, rows_u)
+        for name, new, ref in zip(MOMENTS, scattered, _moments(coef_draws, y, X_l, X_u)):
+            assert _max_error(new, ref) <= 1e-12 * np.max(np.abs(ref)), name
 
     @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is no wider than float64 here")
     @pytest.mark.parametrize(
@@ -328,7 +366,7 @@ class TestFoldMoments:
         # see centred data, and the locations are summed in extended precision
         fold = _fitted_fold(**case)
         exact = _extended_reference(*fold)
-        for name, new, dense, ref in zip(MOMENTS, _fold_moments(*fold),
+        for name, new, dense, ref in zip(MOMENTS, _moments(*fold),
                                          hbdmi_fold_reference(*fold), exact):
             assert _max_error(new, ref) <= _max_error(dense, ref), name
 
@@ -341,7 +379,7 @@ class TestFoldMoments:
         fold = _fitted_fold(noise=1e-9)
         exact = _extended_reference(*fold)
         assert np.max(exact[1]) < 1e-18
-        for name, new, dense, ref in zip(MOMENTS, _fold_moments(*fold),
+        for name, new, dense, ref in zip(MOMENTS, _moments(*fold),
                                          hbdmi_fold_reference(*fold), exact):
             slack = 10.0 if name.startswith("scale") else 1.0
             assert _max_error(new, ref) <= slack * _max_error(dense, ref), name
@@ -368,7 +406,7 @@ class TestFoldMoments:
         fold = (coef_draws, y, X_l, X_u)
         # at offsets of 1e6 and slopes of 1e3 the extended reference itself keeps
         # about 11 digits of a scale, and the dense float64 path reaches 4e-8
-        for name, new, ref in zip(MOMENTS, _fold_moments(*fold), _extended_reference(*fold)):
+        for name, new, ref in zip(MOMENTS, _moments(*fold), _extended_reference(*fold)):
             assert _max_error(new, ref) <= 1e-9 * float(np.max(np.abs(ref))), name
 
 
@@ -389,8 +427,8 @@ class TestImputation:
         data = _toy_dataset(seed=21)
         fitter = make_fitter("bols")
         result = imputation_posterior(data, fitter, 5000, 0.05, RngStream(4, 2))
-        fit = fitter(data.features, data.outcomes, RngStream(0))
-        expected = fit.posterior_mean().evaluate(data.unlabeled_features).mean()
+        mean_row = fitter(data.features, data.outcomes, RngStream(0)).posterior_mean()
+        expected = (data.unlabeled_features @ mean_row[1:] + mean_row[0]).mean()
         assert result.point_estimate == pytest.approx(expected)
         tol = 4 * result.draws.std() / math.sqrt(5000)
         assert abs(result.draws.mean() - expected) <= tol
@@ -402,32 +440,31 @@ class TestImputation:
         data = _toy_dataset(seed=23, p=5)
         fitter = make_fitter(nuisance)
         result = imputation_posterior(data, fitter, 300, 0.05, RngStream(4, 3))
-        beta = fitter(data.features, data.outcomes, RngStream(0)).posterior_mean().coefficients
+        beta = fitter(data.features, data.outcomes, RngStream(0)).posterior_mean()[1:]
         shift = data.unlabeled_features.mean(axis=0) - data.features.mean(axis=0)
         expected = data.outcomes.mean() + beta @ shift
         assert result.point_estimate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-class TestVarianceReport:
-    def test_constant_regression_mean(self):
-        data = _toy_dataset(seed=22)
-        report = variance_report(data, RegressionDraw(3.0, np.zeros(data.p)))
-        assert report["sigma2_sq"] == 0.0
-        assert report["tau_sq"] == pytest.approx(data.outcomes.var(ddof=1) / data.n)
-        assert report["efficiency_ratio"] == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda data, fitter: bdmi_cf(data, 4, fitter, 200, 0.05, RNG.substream(12)),
+        lambda data, fitter: hbdmi_cf(data, 4, fitter, 200, 0.05, RNG.substream(12)),
+        lambda data, fitter: imputation_posterior(data, fitter, 200, 0.05, RNG.substream(12)),
+    ],
+    ids=["bdmi_cf", "hbdmi_cf", "imputation_posterior"],
+)
+@pytest.mark.parametrize("width", [1, 4])
+def test_fitter_rows_of_the_wrong_width_raise_the_typed_error(estimate, width):
+    # a caller's fitter whose rows are not p + 1 = 3 wide, in its draws and its mean
+    data = _toy_dataset(seed=24)
 
-    def test_oracle_regression_recovers_design_variances(self):
-        # with the true mean plugged in, n * tau^2 -> sigma0^2 + (n/N) Var(m0)
-        design = SimDesign(kind="correct", n=2000, n_unlabeled=40000, p=10, s=4, seed=9)
-        data = generate_dataset(design, RngStream(31, 0))
-        beta0 = signal_coefficients(10, 4)
-        report = variance_report(data, RegressionDraw(5.0, beta0))
-        beta_norm_sq = float(beta0 @ beta0)
-        sigma0_sq = beta_norm_sq / 5.0
-        expected = sigma0_sq + (design.n / design.n_unlabeled) * beta_norm_sq
-        assert design.n * report["tau_sq"] == pytest.approx(expected, rel=0.05)
-        # orthogonality quantity is near zero for the true mean
-        assert abs(report["residual_prediction_cov"]) < 0.05
+    def fitter(X, y, rng):
+        return MultivariateTPosterior("wrong", 5.0, np.ones(width), np.eye(width))
+
+    with pytest.raises(DimensionMismatchError, match="expected width 3"):
+        estimate(data, fitter)
 
 
 class TestConvolutionOracle:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import ssmean.io
 from _oracles import read_csv_reference
-from ssmean.errors import DataError, ValidationError
-from ssmean.io import load_labeled_csv, load_unlabeled_csv
+from ssmean.errors import DataError, NumericalError, ValidationError
+from ssmean.io import load_labeled_csv, load_unlabeled_csv, write_json_atomic
 
 
 def _write(path, text):
@@ -216,3 +216,15 @@ def test_header_names_checked_before_body(tmp_path):
     with pytest.raises(DataError, match="do not match") as info:
         load_unlabeled_csv(path, expected_names=["x1", "x2"])
     assert type(info.value) is DataError
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+def test_json_writer_rejects_non_finite_numbers(tmp_path, value):
+    # a report must parse under a strict JSON reader, which takes no NaN or Infinity
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericalError, match="non-finite"):
+        write_json_atomic(path, {"results": {"leaf": [1.0, value]}})
+    assert not path.exists()
+    write_json_atomic(path, {"results": {"leaf": [1.0, None]}})
+    assert path.read_text().split() == ["{", '"results":', "{", '"leaf":', "[", "1.0,", "null",
+                                        "]", "}", "}"]

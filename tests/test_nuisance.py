@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from _oracles import bols_reference, bridge_reference, spike_slab_reference
 from ssmean import (
     GibbsConfig,
-    RegressionDraw,
     RngStream,
     constant_nuisance,
     fit_bols,
@@ -20,7 +19,6 @@ from ssmean import (
     zero_nuisance,
 )
 from ssmean.errors import (
-    DimensionMismatchError,
     InsufficientDataError,
     InvalidParameterError,
     SingularDesignError,
@@ -29,6 +27,10 @@ from ssmean.errors import (
 from ssmean.simulation import signal_coefficients
 
 RNG = RngStream(90210)
+
+
+def _predict(row, X):
+    return X @ row[1:] + row[0]
 
 
 def _line_data(m=4):
@@ -41,18 +43,18 @@ class TestBols:
         X, y = _line_data()
         post = fit_bols(X, y)
         pm = post.posterior_mean()
-        assert pm.intercept == pytest.approx(1.0, abs=1e-9)
-        assert pm.coefficients == pytest.approx([2.0], abs=1e-9)
-        draw_a = post.sample(RNG.substream(1))
-        draw_b = post.sample(RNG.substream(2))
-        assert draw_a.intercept == pytest.approx(draw_b.intercept, abs=1e-9)
+        assert pm[0] == pytest.approx(1.0, abs=1e-9)
+        assert pm[1:] == pytest.approx([2.0], abs=1e-9)
+        draw_a = post.sample_many(1, RNG.substream(1))[0]
+        draw_b = post.sample_many(1, RNG.substream(2))[0]
+        assert draw_a[0] == pytest.approx(draw_b[0], abs=1e-9)
 
     def test_constant_outcomes(self):
         X = RNG.substream(3).generator().normal(size=(10, 2))
         post = fit_bols(X, np.full(10, 7.0))
         pm = post.posterior_mean()
-        assert pm.intercept == pytest.approx(7.0, abs=1e-9)
-        np.testing.assert_allclose(pm.coefficients, 0.0, atol=1e-9)
+        assert pm[0] == pytest.approx(7.0, abs=1e-9)
+        np.testing.assert_allclose(pm[1:], 0.0, atol=1e-9)
 
     def test_matches_normal_equations_oracle(self):
         gen = RNG.substream(4).generator()
@@ -64,10 +66,8 @@ class TestBols:
         # independent oracle: solve the normal equations directly
         design = np.column_stack([np.ones(50), X])
         oracle = np.linalg.solve(design.T @ design, design.T @ y)
-        np.testing.assert_allclose(
-            np.concatenate([[pm.intercept], pm.coefficients]), oracle, rtol=1e-8
-        )
-        assert np.max(np.abs(np.concatenate([[pm.intercept], pm.coefficients]) - truth)) < 0.15
+        np.testing.assert_allclose(pm, oracle, rtol=1e-8)
+        assert np.max(np.abs(pm - truth)) < 0.15
 
     def test_too_few_rows(self):
         X, y = _line_data(3)  # m = p + 2
@@ -91,7 +91,7 @@ class TestBols:
         aug = np.column_stack([np.ones(5), x_new])
         sampled = (draws @ aug.T).mean(axis=0)
         spread = (draws @ aug.T).std(axis=0)
-        analytic = post.posterior_mean().evaluate(x_new)
+        analytic = _predict(post.posterior_mean(), x_new)
         assert np.all(np.abs(sampled - analytic) <= 4 * spread / 100)
 
 
@@ -102,8 +102,8 @@ class TestBridge:
         y = gen.normal(size=100)  # pure noise, nothing to keep
         post = fit_bridge(X, y, penalty=1e12)
         pm = post.posterior_mean()
-        np.testing.assert_allclose(pm.coefficients, 0.0, atol=1e-8)
-        assert pm.intercept == pytest.approx(y.mean(), abs=1e-8)
+        np.testing.assert_allclose(pm[1:], 0.0, atol=1e-8)
+        assert pm[0] == pytest.approx(y.mean(), abs=1e-8)
 
     def test_cv_shrinks_noise_more_than_signal(self):
         gen = RNG.substream(8).generator()
@@ -121,17 +121,19 @@ class TestBridge:
         y = z + 3.0
         post = fit_bridge(x, y)
         lam = post.metadata["lambda_hat"]
-        assert post._loc_std[1] == pytest.approx(m / (m + lam), abs=1e-10)
+        # the raw-scale slope is the standardized one over the column's sd
+        assert post.location[1] * x[:, 0].std() == pytest.approx(m / (m + lam), abs=1e-10)
 
     def test_back_transform_round_trip(self):
         gen = RNG.substream(10).generator()
         X = gen.normal(loc=3.0, scale=2.5, size=(60, 4))
         y = 2.0 + X @ np.array([1.0, 0.0, -0.5, 0.25]) + 0.3 * gen.normal(size=60)
-        post = fit_bridge(X, y)
+        post, ref = fit_bridge(X, y), bridge_reference(X, y)
         x_new = gen.normal(loc=3.0, scale=2.5, size=(10, 4))
-        direct = post.posterior_mean().evaluate(x_new)
-        z_new = (x_new - post._xbar) / post._sdev
-        via_std = post._loc_std[0] + z_new[:, post._keep] @ post._loc_std[1:]
+        direct = _predict(post.posterior_mean(), x_new)
+        # the reference keeps its standardized-scale state
+        z_new = (x_new - ref._xbar) / ref._sdev
+        via_std = ref._loc_std[0] + z_new[:, ref._keep] @ ref._loc_std[1:]
         np.testing.assert_allclose(direct, via_std, atol=1e-10)
 
     def test_converges_to_bols_on_noiseless_data(self):
@@ -141,20 +143,20 @@ class TestBridge:
         y = 4.0 + X @ np.array([1.0, -0.8, 0.5])
         ridge = fit_bridge(X, y).posterior_mean()
         ols = fit_bols(X, y).posterior_mean()
-        assert ridge.intercept == pytest.approx(ols.intercept, abs=1e-4)
-        np.testing.assert_allclose(ridge.coefficients, ols.coefficients, atol=1e-4)
+        assert ridge[0] == pytest.approx(ols[0], abs=1e-4)
+        np.testing.assert_allclose(ridge[1:], ols[1:], atol=1e-4)
 
     def test_scale_equivariant_predictions(self):
         gen = RNG.substream(12).generator()
         X = gen.normal(size=(50, 3))
         y = 1.0 + X @ np.array([2.0, 0.5, 0.0]) + 0.2 * gen.normal(size=50)
         x_new = gen.normal(size=(7, 3))
-        base = fit_bridge(X, y).posterior_mean().evaluate(x_new)
+        base = _predict(fit_bridge(X, y).posterior_mean(), x_new)
         X_scaled = X.copy()
         X_scaled[:, 1] *= 13.0
         x_new_scaled = x_new.copy()
         x_new_scaled[:, 1] *= 13.0
-        scaled = fit_bridge(X_scaled, y).posterior_mean().evaluate(x_new_scaled)
+        scaled = _predict(fit_bridge(X_scaled, y).posterior_mean(), x_new_scaled)
         np.testing.assert_allclose(base, scaled, atol=1e-8)
 
     def test_zero_variance_column_dropped(self):
@@ -164,16 +166,16 @@ class TestBridge:
         y = 1.0 + X[:, 0] + 0.1 * gen.normal(size=40)
         with pytest.warns(UserWarning, match="zero-variance"):
             post = fit_bridge(X, y)
-        assert post.posterior_mean().coefficients[1] == 0.0
+        assert post.posterior_mean()[2] == 0.0
         assert post.metadata["dropped_columns"] == 1
 
     def test_constant_outcome_degenerates(self):
         gen = RNG.substream(14).generator()
         X = gen.normal(size=(20, 2))
         post = fit_bridge(X, np.full(20, 3.5))
-        draw = post.sample(RNG.substream(15))
-        assert draw.intercept == pytest.approx(3.5)
-        np.testing.assert_allclose(draw.coefficients, 0.0, atol=1e-12)
+        draw = post.sample_many(1, RNG.substream(15))[0]
+        assert draw[0] == pytest.approx(3.5)
+        np.testing.assert_allclose(draw[1:], 0.0, atol=1e-12)
 
     def test_all_constant_features_rejected(self):
         with pytest.raises(ValidationError):
@@ -192,7 +194,7 @@ class TestBridge:
         x_new = gen.normal(size=(5, 3))
         aug = np.column_stack([np.ones(5), x_new])
         preds = draws @ aug.T
-        analytic = post.posterior_mean().evaluate(x_new)
+        analytic = _predict(post.posterior_mean(), x_new)
         assert np.all(np.abs(preds.mean(axis=0) - analytic) <= 4 * preds.std(axis=0) / 100)
 
 
@@ -205,8 +207,8 @@ class TestSpikeSlab:
         X = gen.normal(size=(30, 4))
         post = fit_spike_slab(X, np.full(30, 2.0), QUICK_GIBBS, RNG.substream(19))
         pm = post.posterior_mean()
-        assert pm.intercept == pytest.approx(2.0)
-        np.testing.assert_allclose(pm.coefficients, 0.0, atol=1e-12)
+        assert pm[0] == pytest.approx(2.0)
+        np.testing.assert_allclose(pm[1:], 0.0, atol=1e-12)
         assert max(post.metadata["inclusion_frequency"]) <= 0.5
 
     def test_strong_signal_recovery(self):
@@ -232,8 +234,8 @@ class TestSpikeSlab:
         truth = X_hold @ beta
         sparse_pm = fit_spike_slab(X, y, QUICK_GIBBS, RNG.substream(23)).posterior_mean()
         bols_pm = fit_bols(X, y).posterior_mean()
-        mse_sparse = np.mean((sparse_pm.evaluate(X_hold) - truth) ** 2)
-        mse_bols = np.mean((bols_pm.evaluate(X_hold) - truth) ** 2)
+        mse_sparse = np.mean((_predict(sparse_pm, X_hold) - truth) ** 2)
+        mse_bols = np.mean((_predict(bols_pm, X_hold) - truth) ** 2)
         assert mse_sparse <= mse_bols
 
     def test_too_few_rows(self):
@@ -467,37 +469,25 @@ def test_rank_decision_table(m, p):
 
 class TestFixtures:
     def test_constant_everywhere(self):
-        post = constant_nuisance(5.0)
-        draw = post.sample(RNG.substream(27))
-        assert draw.evaluate(np.array([[1.0, 2.0], [0.0, -5.0]])).tolist() == [5.0, 5.0]
+        post = constant_nuisance(5.0, 2)
+        draw = post.sample_many(1, RNG.substream(27))[0]
+        assert draw.tolist() == [5.0, 0.0, 0.0]
+        assert _predict(draw, np.array([[1.0, 2.0], [0.0, -5.0]])).tolist() == [5.0, 5.0]
 
     def test_zero_posterior_mean(self):
-        pm = zero_nuisance().posterior_mean()
-        assert pm.intercept == 0.0
-        assert pm.evaluate(np.ones((3, 7))).tolist() == [0.0, 0.0, 0.0]
+        pm = zero_nuisance(7).posterior_mean()
+        assert pm.tolist() == [0.0] * 8
+        assert _predict(pm, np.ones((3, 7))).tolist() == [0.0, 0.0, 0.0]
 
     def test_constant_draws_identical(self):
-        post = constant_nuisance(5.0)
-        a = post.sample(RNG.substream(28))
-        b = post.sample(RNG.substream(29))
-        assert a.intercept == b.intercept == 5.0
+        post = constant_nuisance(5.0, 3)
+        a, b = post.sample_many(2, RNG.substream(28))
+        assert a.tolist() == b.tolist() == [5.0, 0.0, 0.0, 0.0]
+        assert post.sample_many(1, RNG.substream(29))[0].tolist() == a.tolist()
 
     def test_constant_rejects_nonfinite(self):
         with pytest.raises(InvalidParameterError):
-            constant_nuisance(float("nan"))
-
-
-class TestPredict:
-    def test_examples(self):
-        assert RegressionDraw(1.0, np.array([2.0])).evaluate(np.array([[3.0]])).tolist() == [7.0]
-        zeros = RegressionDraw(0.0, np.zeros(2)).evaluate(np.array([[4.0, 5.0]]))
-        assert zeros.tolist() == [0.0]
-        out = RegressionDraw(5.0, np.array([1.0, 0.5])).evaluate(np.array([[2.0, 2.0]]))
-        assert out.tolist() == [8.0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            RegressionDraw(0.0, np.array([1.0])).evaluate(np.ones((2, 3)))
+            constant_nuisance(float("nan"), 2)
 
 
 class TestMakeFitter:
@@ -507,7 +497,9 @@ class TestMakeFitter:
         y = X[:, 0] + gen.normal(size=30)
         for name in ("bols", "bridge", "zero", "constant:2.5"):
             post = make_fitter(name)(X, y, RNG.substream(31))
-            assert post.posterior_mean() is not None
+            # every fitter's rows are p + 1 = 3 wide, the fixtures' too
+            assert post.posterior_mean().shape == (3,)
+            assert post.sample_many(4, RNG.substream(32)).shape == (4, 3)
 
     def test_unknown_name(self):
         with pytest.raises(InvalidParameterError):
