@@ -1,9 +1,15 @@
 """Command-line entry points: simulate, estimate, and compare.
 
-Configuration comes from an optional JSON file plus flags; flags win.
-Unknown config keys are hard errors, since a silently ignored statistical
-parameter is a correctness hazard.  Every report echoes the effective
-configuration and seed so any output can be reproduced exactly.
+Configuration comes from an optional JSON file plus flags; flags win, and a
+null value, like an omitted key or an absent flag, leaves a key at its
+default.  One table, ``_KEYS``, says which commands read each key, its
+default, its type and which echoes carry it.  Each command accepts exactly
+the keys it reads: an unknown key is a hard error, since a silently ignored
+statistical parameter is a correctness hazard.  ``parse_config`` also builds
+the sampler settings, the simulation design and every method's fitter, so
+each config fault exits 2 before any data file is opened.  Every report
+echoes the effective configuration and seed so any output can be reproduced
+exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +27,7 @@ from . import _blas
 from .data import Dataset, validate_dataset
 from .errors import ConfigError, DataError, NumericalError, SsmeanError
 from .io import load_labeled_csv, load_unlabeled_csv, write_json_atomic, write_text_atomic
-from .nuisance import GibbsConfig
+from .nuisance import GibbsConfig, make_fitter
 from .rng import GENERATOR_NAME, RngStream
 from .simulation import (
     ESTIMATORS,
@@ -36,32 +42,51 @@ from .simulation import (
 __all__ = ["RunConfig", "parse_config", "cmd_estimate", "cmd_compare", "cmd_simulate", "main"]
 
 REPORT_SCHEMA = 1
-DEFAULT_K = 5
-DEFAULT_M = 1000
-DEFAULT_ALPHA = 0.05
-DEFAULT_SEED = 1729
-DEFAULT_NUISANCE = "bridge"
 
-_COMMON_KEYS = {
-    "method", "nuisance", "k", "m", "alpha", "seed", "jobs",
-    "labeled", "unlabeled", "out",
-    "gibbs_burn_in", "gibbs_sweeps", "gibbs_slab_scale",
+_COMMANDS = ("estimate", "compare", "simulate")
+_DATA = ("estimate", "compare")
+_SIM = ("simulate",)
+_REQUIRED = object()
+
+# key -> (commands that read it, default, type, commands whose echo carries it).
+# A type is float, str, list (of method specs), int, or an int giving an integer
+# key's minimum.  The worker count has no effect on results, so no echo carries
+# it; simulate's echo carries the method list that method and nuisance default.
+_KEYS = {
+    "method": (_COMMANDS, "bdmi", str, _DATA),
+    "nuisance": (_COMMANDS, "bridge", str, _DATA),
+    "k": (_COMMANDS, 5, 2, _COMMANDS),
+    "m": (_COMMANDS, 1000, 100, _COMMANDS),
+    "alpha": (_COMMANDS, 0.05, float, _COMMANDS),
+    "seed": (_COMMANDS, 1729, 0, _COMMANDS),
+    "jobs": (_COMMANDS, 1, 1, ()),
+    "out": (_COMMANDS, None, str, _COMMANDS),
+    "gibbs_burn_in": (_COMMANDS, 1000, int, _COMMANDS),
+    "gibbs_sweeps": (_COMMANDS, 2000, int, _COMMANDS),
+    "gibbs_slab_scale": (_COMMANDS, None, float, _COMMANDS),
+    "labeled": (_DATA, None, str, _DATA),
+    "unlabeled": (_DATA, None, str, _DATA),
+    "methods": (("compare", "simulate"), None, list, ("compare", "simulate")),
+    "density_out": (_SIM, None, str, _SIM),
+    "kind": (_SIM, _REQUIRED, str, _SIM),
+    "n": (_SIM, _REQUIRED, int, _SIM),
+    "n_unlabeled": (_SIM, _REQUIRED, int, _SIM),
+    "p": (_SIM, _REQUIRED, int, _SIM),
+    "s": (_SIM, _REQUIRED, int, _SIM),
+    "alpha0": (_SIM, 5.0, float, _SIM),
+    "reps": (_SIM, 200, int, _SIM),
 }
-_DESIGN_KEYS = {"kind", "n", "n_unlabeled", "p", "s", "alpha0", "reps"}
-_ALLOWED_KEYS = {
-    "estimate": _COMMON_KEYS,
-    "compare": _COMMON_KEYS | {"methods"},
-    "simulate": _COMMON_KEYS | _DESIGN_KEYS | {"methods", "density_out"},
-}
+_TYPE_NAMES = {str: "a string", list: "a list of strings", float: "a number"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective, validated parameters for one command invocation."""
+    """Effective, validated parameters for one command invocation.
+
+    Fields named after a config key hold that key's effective value.
+    """
 
     command: str
-    method: str
-    nuisance: str
     k: int
     m: int
     alpha: float
@@ -73,54 +98,30 @@ class RunConfig:
     methods: tuple[str, ...]  # the specs to run; compare's exclude the supervised one
     density_out: str | None
     gibbs: GibbsConfig
-    design: dict | None
+    design: SimDesign | None  # simulate's replication study
+    settings: dict  # every key the command reads, at its effective value
 
     def echo(self) -> dict:
-        """Config-file-compatible dict reproducing this run exactly.
-
-        Worker count is an execution detail with no effect on results, so it
-        is left out; reruns of an echoed config default to sequential.
-        """
-        payload: dict = {
-            "k": self.k,
-            "m": self.m,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "out": self.out,
-            "gibbs_burn_in": self.gibbs.burn_in,
-            "gibbs_sweeps": self.gibbs.sweeps,
-        }
-        if self.gibbs.slab_scale is not None:
-            payload["gibbs_slab_scale"] = self.gibbs.slab_scale
-        if self.command in ("estimate", "compare"):
-            payload["method"] = self.method
-            payload["nuisance"] = self.nuisance
-            payload["labeled"] = self.labeled
-            if self.unlabeled is not None:
-                payload["unlabeled"] = self.unlabeled
-        if self.command != "estimate":
-            payload["methods"] = list(self.methods)
-        if self.command == "simulate":
-            payload.update(self.design)
-            if self.density_out is not None:
-                payload["density_out"] = self.density_out
-        return payload
+        """Config-file-compatible dict reproducing this run exactly."""
+        return {key: value for key, value in self.settings.items()
+                if value is not None and self.command in _KEYS[key][3]}
 
 
-def _require_int(values: dict, key: str, minimum: int) -> int:
-    value = values[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_number(values: dict, key: str) -> float:
-    value = values[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+def _typed(key: str, value, kind):
+    if kind is str:
+        ok = isinstance(value, str)
+    elif kind is list:
+        ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
+    else:
+        number = (int, float) if kind is float else int
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(
+            f"config key {key!r} must be {_TYPE_NAMES.get(kind, 'an integer')}, got {value!r}"
+        )
+    if isinstance(kind, int) and value < kind:
+        raise ConfigError(f"config key {key!r} must be >= {kind}, got {value}")
+    return float(value) if kind is float else tuple(value) if kind is list else value
 
 
 def parse_config(
@@ -128,8 +129,8 @@ def parse_config(
     config_path: str | None = None,
     overrides: dict | None = None,
 ) -> RunConfig:
-    """Merge file values and flag overrides into a validated RunConfig."""
-    if command not in _ALLOWED_KEYS:
+    """Merge file values and flag overrides into a RunConfig and check the whole run."""
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     values: dict = {}
     if config_path is not None:
@@ -143,129 +144,71 @@ def parse_config(
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         values.update(loaded)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
 
-    unknown = sorted(set(values) - _ALLOWED_KEYS[command])
+    unknown = sorted(key for key in values if key not in _KEYS or command not in _KEYS[key][0])
     if unknown:
-        raise ConfigError(
-            f"unknown config key(s) for {command}: {', '.join(unknown)}"
-        )
+        raise ConfigError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+    settings: dict = {}
+    for key, (commands, default, kind, _) in _KEYS.items():
+        if command in commands:
+            value = values.get(key)
+            settings[key] = default if value is None else _typed(key, value, kind)
+    missing = [key for key, value in settings.items() if value is _REQUIRED]
+    if missing:
+        raise ConfigError(f"{command} config is missing key(s): {', '.join(missing)}")
+    if not (0.0 < settings["alpha"] < 1.0):
+        raise ConfigError(f"alpha must lie in (0, 1), got {settings['alpha']}")
+    if settings["out"] is None:
+        settings["out"] = "simulation" if command == "simulate" else f"{command}_report.json"
 
-    values.setdefault("k", DEFAULT_K)
-    values.setdefault("m", DEFAULT_M)
-    values.setdefault("alpha", DEFAULT_ALPHA)
-    values.setdefault("seed", DEFAULT_SEED)
-    values.setdefault("jobs", 1)
-    values.setdefault("method", "bdmi")
-    values.setdefault("nuisance", DEFAULT_NUISANCE)
-    values.setdefault("out", f"{command}_report.json" if command != "simulate" else "simulation")
-    values.setdefault("gibbs_burn_in", 1000)
-    values.setdefault("gibbs_sweeps", 2000)
+    method = settings["method"]
+    spec = method if method == SUPERVISED else f"{method}:{settings['nuisance']}"
+    methods = settings.get("methods")
+    if methods is None:
+        # simulate runs the supervised baseline beside the method; compare runs it anyway
+        if command == "simulate":
+            methods = tuple(dict.fromkeys((SUPERVISED, spec)))
+        else:
+            methods = () if command == "compare" and spec == SUPERVISED else (spec,)
+    elif command == "compare" and SUPERVISED in methods:
+        raise ConfigError("compare always includes the supervised method; "
+                          "list only semi-supervised methods")
+    settings["methods"] = methods
 
-    k = _require_int(values, "k", 2)
-    m = _require_int(values, "m", 100)
-    seed = _require_int(values, "seed", 0)
-    jobs = _require_int(values, "jobs", 1)
-    alpha = _require_number(values, "alpha")
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    method = values["method"]
-    if method not in ESTIMATORS:
-        raise ConfigError(f"method must be one of {tuple(ESTIMATORS)}, got {method!r}")
-    nuisance = values["nuisance"]
-    if not isinstance(nuisance, str):
-        raise ConfigError(f"nuisance must be a string, got {nuisance!r}")
-    method_spec = method if method == SUPERVISED else f"{method}:{nuisance}"
-
-    slab = values.get("gibbs_slab_scale")
-    if slab is not None:
-        slab = _require_number(values, "gibbs_slab_scale")
-        if slab <= 0:
-            raise ConfigError(f"gibbs_slab_scale must be positive, got {slab}")
     try:
         gibbs = GibbsConfig(
-            burn_in=_require_int(values, "gibbs_burn_in", 0),
-            sweeps=_require_int(values, "gibbs_sweeps", 1),
-            slab_scale=slab,
+            settings["gibbs_burn_in"], settings["gibbs_sweeps"], settings["gibbs_slab_scale"]
         )
+        for each in dict.fromkeys((spec, *methods)):
+            nuisance = parse_method_spec(each)[1]
+            if nuisance is not None:
+                make_fitter(nuisance, gibbs)
+        design = None
+        if command == "simulate":
+            # config keys named after a design field set it; k and m are its folds and draws
+            design = SimDesign(
+                **{f.name: settings[f.name] for f in fields(SimDesign) if f.name in settings},
+                n_folds=settings["k"], n_draws=settings["m"], gibbs=gibbs,
+            )
     except SsmeanError as exc:
         raise ConfigError(str(exc)) from exc
-
-    methods: tuple[str, ...] = (method_spec,)
-    if command != "estimate":
-        # simulate defaults to sup plus bdmi; compare runs sup anyway, and takes null as unset
-        default = [SUPERVISED, f"bdmi:{nuisance}"] if command == "simulate" else None
-        raw = values.get("methods", default)
-        if raw is None and command == "compare":
-            raw = [] if method == SUPERVISED else [method_spec]
-        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-            raise ConfigError("config key 'methods' must be a list of strings")
-        for spec in raw:
-            if _checked_spec(spec)[0] == SUPERVISED and command == "compare":
-                raise ConfigError("compare always includes the supervised method; "
-                                  "list only semi-supervised methods")
-        methods = tuple(raw)
-
-    design = None
-    if command == "simulate":
-        missing = sorted(key for key in ("kind", "n", "n_unlabeled", "p", "s") if key not in values)
-        if missing:
-            raise ConfigError(f"simulate config is missing key(s): {', '.join(missing)}")
-        values.setdefault("alpha0", 5.0)
-        values.setdefault("reps", 200)
-        design = {key: _require_int(values, key, 1) for key in ("n", "n_unlabeled", "p", "s")}
-        design.update(kind=values["kind"], alpha0=_require_number(values, "alpha0"),
-                      reps=_require_int(values, "reps", 1))
-        if design["kind"] not in ("correct", "misspec"):
-            raise ConfigError(f"kind must be correct|misspec, got {design['kind']!r}")
-
-    density_out = values.get("density_out")
-    if density_out is not None and not isinstance(density_out, str):
-        raise ConfigError("density_out must be a path string")
-
-    labeled = values.get("labeled")
-    unlabeled = values.get("unlabeled")
-    for key, val in (("labeled", labeled), ("unlabeled", unlabeled), ("out", values["out"])):
-        if val is not None and not isinstance(val, str):
-            raise ConfigError(f"config key {key!r} must be a path string")
 
     return RunConfig(
-        command=command,
-        method=method,
-        nuisance=nuisance,
-        k=k,
-        m=m,
-        alpha=alpha,
-        seed=seed,
-        jobs=jobs,
-        labeled=labeled,
-        unlabeled=unlabeled,
-        out=values["out"],
-        methods=methods,
-        density_out=density_out,
-        gibbs=gibbs,
-        design=design,
+        command=command, gibbs=gibbs, design=design, settings=settings,
+        **{f.name: settings.get(f.name) for f in fields(RunConfig) if f.name in _KEYS},
     )
-
-
-def _checked_spec(spec: str) -> tuple[str, str | None]:
-    try:
-        return parse_method_spec(spec)
-    except SsmeanError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load_dataset(config: RunConfig, needs_unlabeled: bool) -> Dataset:
     if config.labeled is None:
         raise ConfigError("a labeled CSV is required (--labeled or config key 'labeled')")
+    if needs_unlabeled and config.unlabeled is None:
+        raise ConfigError(
+            "this method uses unlabeled data (--unlabeled or config key 'unlabeled')"
+        )
     outcomes, features, names = load_labeled_csv(config.labeled)
     if needs_unlabeled:
-        if config.unlabeled is None:
-            raise ConfigError(
-                "this method uses unlabeled data (--unlabeled or config key 'unlabeled')"
-            )
         unlabeled, _ = load_unlabeled_csv(config.unlabeled, expected_names=names)
         return validate_dataset(np.column_stack([outcomes, features]), unlabeled)
     return Dataset(outcomes, features, np.zeros((0, features.shape[1])))
@@ -296,7 +239,7 @@ def _write_report(config: RunConfig, results: dict, **extra) -> Path:
 def cmd_estimate(config: RunConfig) -> Path:
     """Run one method on ingested data and write a JSON report."""
     spec, = config.methods
-    data = _load_dataset(config, needs_unlabeled=config.method != SUPERVISED)
+    data = _load_dataset(config, needs_unlabeled=spec != SUPERVISED)
     rng = RngStream(config.seed)
     result = run_method(spec, data, config.k, config.m, config.alpha, config.gibbs, rng)
     return _write_report(config, {spec: result})
@@ -320,17 +263,9 @@ def cmd_compare(config: RunConfig) -> Path:
 
 def cmd_simulate(config: RunConfig) -> Path:
     """Run the configured replications and write the metrics table."""
-    design = SimDesign(
-        **config.design,
-        n_folds=config.k,
-        methods=config.methods,
-        n_draws=config.m,
-        alpha=config.alpha,
-        seed=config.seed,
-        gibbs=config.gibbs,
-    )
     started = time.perf_counter()
-    results = run_replications(design, jobs=config.jobs, keep_draws=config.density_out is not None)
+    results = run_replications(config.design, jobs=config.jobs,
+                               keep_draws=config.density_out is not None)
     elapsed = time.perf_counter() - started
     table = results.table
     json_path = Path(f"{config.out}.json")
@@ -343,7 +278,7 @@ def cmd_simulate(config: RunConfig) -> Path:
         emit_density_data(results, config.density_out)
     star = "" if table.ore_star is None else f", achievable oracle RE {table.ore_star:.3f}"
     print(
-        f"simulate: {design.reps} replications in {elapsed:.1f}s ({_blas.describe()}); "
+        f"simulate: {config.design.reps} replications in {elapsed:.1f}s ({_blas.describe()}); "
         f"oracle RE {table.ore:.3f}{star}",
         file=sys.stderr,
     )
@@ -378,11 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in ("labeled", "unlabeled", "method", "nuisance", "k", "m",
-                    "alpha", "seed", "jobs", "out")
-    }
+    overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
         config = parse_config(args.command, args.config, overrides)
         with _blas.one_thread():

@@ -10,7 +10,6 @@ use is race-free.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,7 +89,11 @@ class MultivariateTPosterior(NuisancePosterior):
         g = rng.generator()
         z = g.standard_normal((count, self.scale_factor.shape[1]))
         gam = g.gamma(self.df / 2.0, 2.0 / self.df, size=count)
-        return self.location + (z @ self.scale_factor.T) / np.sqrt(gam)[:, None]
+        # location + (z F') / sqrt(g) in place: no draws-sized temporary beside z and z F'
+        draws = z @ self.scale_factor.T
+        draws /= np.sqrt(gam)[:, None]
+        draws += self.location
+        return draws
 
     def posterior_mean(self) -> np.ndarray:
         return self.location
@@ -232,9 +235,7 @@ def _ridge_cv_lambda(Z: np.ndarray, y_scaled: np.ndarray, grid: np.ndarray) -> n
     return errors
 
 
-def fit_bridge(
-    features: np.ndarray, outcomes: np.ndarray, penalty: float | None = None
-) -> NuisancePosterior:
+def fit_bridge(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     """Gaussian-prior ridge regression with the penalty chosen by cross-validation.
 
     Pipeline: standardize feature columns and scale the outcome to unit
@@ -244,10 +245,8 @@ def fit_bridge(
     normal-inverse-gamma posterior on the standardized design (flat prior on
     the intercept, df = m - 1); map location and scale back to the original
     feature scale.  Zero-variance columns are dropped from the penalized
-    block and receive coefficient zero.
-
-    Passing `penalty` skips the CV step and uses that value as the prior
-    precision on the standardized coefficients directly.
+    block and receive coefficient zero; the metadata's `dropped_columns`
+    counts them.
     """
     X, y = _check_xy(features, outcomes)
     m, p = X.shape
@@ -258,12 +257,6 @@ def fit_bridge(
     Z, xbar, sdev, keep = _standardize(X)
     if not keep.any():
         raise ValidationError("all feature columns have zero variance")
-    if not keep.all():
-        warnings.warn(
-            f"dropping {int((~keep).sum())} zero-variance feature column(s); "
-            "their coefficients are fixed at 0",
-            stacklevel=2,
-        )
     k = Z.shape[1]
     ybar = float(y.mean())
     y_c = y - ybar
@@ -281,24 +274,17 @@ def fit_bridge(
         meta.update({"lambda_hat": None, "degenerate": True})
         return _point_mass("bridge", loc, df, meta)
 
-    if penalty is not None:
-        if not math.isfinite(penalty) or penalty <= 0:
-            raise InvalidParameterError(f"penalty must be positive and finite, got {penalty}")
-        lam_hat = float(penalty)
-        lam_tilde = None
-        grid = None
-    else:
-        y_scaled = y / s_y
-        lam_max = float(np.max(np.abs(Z.T @ (y_scaled - y_scaled.mean())))) / m
-        if lam_max <= 0.0:
-            lam_max = 1e-8
-        grid = np.geomspace(lam_max, RIDGE_GRID_FLOOR * lam_max, RIDGE_GRID_SIZE)
-        cv_errors = _ridge_cv_lambda(Z, y_scaled, grid)
-        # the CV penalty lives on the unit-variance outcome problem; rescaling to
-        # the raw-outcome prior precision (by m, i.e. outcome-scale penalty times
-        # m / s_y) makes the posterior mean coincide with the CV ridge estimate
-        lam_tilde = float(grid[int(np.argmin(cv_errors))]) * s_y
-        lam_hat = lam_tilde * m / s_y
+    y_scaled = y / s_y
+    lam_max = float(np.max(np.abs(Z.T @ (y_scaled - y_scaled.mean())))) / m
+    if lam_max <= 0.0:
+        lam_max = 1e-8
+    grid = np.geomspace(lam_max, RIDGE_GRID_FLOOR * lam_max, RIDGE_GRID_SIZE)
+    cv_errors = _ridge_cv_lambda(Z, y_scaled, grid)
+    # the CV penalty lives on the unit-variance outcome problem; rescaling to
+    # the raw-outcome prior precision (by m, i.e. outcome-scale penalty times
+    # m / s_y) makes the posterior mean coincide with the CV ridge estimate
+    lam_tilde = float(grid[int(np.argmin(cv_errors))]) * s_y
+    lam_hat = lam_tilde * m / s_y
 
     A = Z.T @ Z + lam_hat * np.eye(k)
     r_inv = np.linalg.inv(np.linalg.cholesky(A).T)  # A^{-1} = R^{-1} R^{-T}
@@ -318,8 +304,8 @@ def fit_bridge(
         {
             "lambda_hat": lam_hat,
             "lambda_tilde": lam_tilde,
-            "lambda_grid": None if grid is None else [float(grid[0]), float(grid[-1])],
-            "cv_folds": None if grid is None else RIDGE_CV_FOLDS,
+            "lambda_grid": [float(grid[0]), float(grid[-1])],
+            "cv_folds": RIDGE_CV_FOLDS,
             "outcome_sd": s_y,
         }
     )
@@ -336,9 +322,11 @@ class GibbsConfig:
 
     def __post_init__(self) -> None:
         if self.burn_in < 0 or self.sweeps < 1:
-            raise InvalidParameterError("burn_in must be >= 0 and sweeps >= 1")
+            raise InvalidParameterError(
+                f"burn_in must be >= 0 and sweeps >= 1, got {self.burn_in} and {self.sweeps}"
+            )
         if self.slab_scale is not None and self.slab_scale <= 0:
-            raise InvalidParameterError("slab_scale must be positive")
+            raise InvalidParameterError(f"slab_scale must be positive, got {self.slab_scale}")
 
 
 def fit_spike_slab(

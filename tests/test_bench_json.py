@@ -81,6 +81,7 @@ def test_writes_one_entry_per_checkout(bench_json, tmp_path, monkeypatch):
     (entry,) = payload["checkouts"]
     assert entry["blas"] == "BLAS threads: 1" and entry["dirty"] is False
     assert len(entry["rev"]) == 40 and entry["numpy"] and entry["python"]
+    assert entry["src_lines"] == 5  # wc -l: __init__.py is empty, _blas.py has 5 lines
     fast = entry["workloads"]["fast"]
     assert (fast["runs"], fast["correct"], fast["errors"]) == (3, True, [])
     assert fast["metrics"]["wall_s"]["values"] == [1.0, 2.0, 3.0]

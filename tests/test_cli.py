@@ -100,6 +100,49 @@ class TestParseConfig:
             parse_config("compare", str(path), {})
 
 
+SMALL_STUDY = {"kind": "correct", "n": 30, "n_unlabeled": 60, "p": 2, "s": 2,
+               "reps": 2, "m": 150, "k": 3}
+
+
+def _no_csv(*args, **kwargs):
+    raise AssertionError("a config fault must exit before any CSV is opened")
+
+
+class TestConfigFaults:
+    """Every config fault exits 2 and writes nothing, before any data file is opened."""
+
+    @pytest.mark.parametrize(
+        "command, config, flags, named",
+        [
+            ("simulate", {**SMALL_STUDY, "s": 3}, [], "s=3"),
+            ("simulate", {**SMALL_STUDY, "kind": "quadratic"}, [], "quadratic"),
+            ("simulate", {**SMALL_STUDY, "gibbs_slab_scale": 0}, [], "slab_scale"),
+            ("estimate", {}, ["--nuisance", "bogus"], "bogus"),
+            ("compare", {}, ["--nuisance", "bogus"], "bogus"),
+            ("simulate", SMALL_STUDY, ["--nuisance", "bogus"], "bogus"),
+            ("estimate", {}, ["--nuisance", "constant:abc"], "constant:abc"),
+            ("simulate", SMALL_STUDY, ["--method", "imp", "--labeled", "x.csv"], "labeled"),
+            ("estimate", {"labeled": "missing.csv"}, ["--nuisance", "bogus"], "bogus"),
+        ],
+        ids=["s-above-p", "kind", "slab-scale", "nuisance-estimate", "nuisance-compare",
+             "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled"],
+    )
+    def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
+                                     flags, named):
+        monkeypatch.setattr("ssmean.cli.load_labeled_csv", _no_csv)
+        monkeypatch.setattr("ssmean.cli.load_unlabeled_csv", _no_csv)
+        if command != "simulate":
+            # readable files, so only the config can stop the run
+            config = {"labeled": _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n"),
+                      "unlabeled": _write(tmp_path / "u.csv", "x1\n0\n1\n"), **config}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+        assert main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ssmean: config error:") and named in err
+        assert not list(tmp_path.glob("out*"))
+
+
 def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3, outcome_scale=1.0):
     design = SimDesign(kind="correct", n=n, n_unlabeled=n_unlabeled, p=p, s=2, seed=seed)
     data = generate_dataset(design, RngStream(seed, 123))
@@ -327,6 +370,38 @@ class TestSimulateCommand:
         first = (tmp_path / "sim.json").read_bytes(), (tmp_path / "sim.csv").read_bytes()
         assert main(["simulate", "--config", str(config)]) == 0
         assert ((tmp_path / "sim.json").read_bytes(), (tmp_path / "sim.csv").read_bytes()) == first
+
+    def test_round_trip_from_echoed_config(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**SMALL_STUDY, "out": str(tmp_path / "sim")}))
+        assert main(["simulate", "--config", str(config), "--method", "hbdmi",
+                     "--nuisance", "bols", "--seed", "6"]) == 0
+        first = (tmp_path / "sim.json").read_bytes(), (tmp_path / "sim.csv").read_bytes()
+        echo = json.loads(first[0])["config"]
+        # the default list honours method and nuisance; the echo carries only the list
+        assert echo["methods"] == ["sup", "hbdmi:bols"]
+        assert "method" not in echo and "nuisance" not in echo
+        config.write_text(json.dumps(echo))
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert ((tmp_path / "sim.json").read_bytes(), (tmp_path / "sim.csv").read_bytes()) == first
+
+    def test_null_means_unset(self, tmp_path):
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path)
+        nulls = {"methods": None, "k": None, "density_out": None}
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({**SMALL_STUDY, **nulls, "out": str(tmp_path / "sim")}))
+        assert main(["simulate", "--config", str(study), "--nuisance", "bols"]) == 0
+        echo = json.loads((tmp_path / "sim.json").read_text())["config"]
+        assert (echo["methods"], echo["k"]) == (["sup", "bdmi:bols"], 5)
+        assert "density_out" not in echo
+        nulls.pop("density_out")
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({**nulls, "labeled": labeled, "unlabeled": unlabeled,
+                                    "m": 200, "out": str(tmp_path / "cmp.json")}))
+        assert main(["compare", "--config", str(data), "--nuisance", "bols"]) == 0
+        report = json.loads((tmp_path / "cmp.json").read_text())
+        assert sorted(report["results"]) == ["bdmi:bols", "sup"]
+        assert (report["config"]["methods"], report["config"]["k"]) == (["bdmi:bols"], 5)
 
     def test_density_output(self, tmp_path):
         config = tmp_path / "cfg.json"

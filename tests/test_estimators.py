@@ -319,7 +319,6 @@ def _max_error(values, reference):
 class TestFoldMoments:
     """hbdmi's R-factor fold moments against the full prediction matrices."""
 
-    @pytest.mark.filterwarnings("ignore:dropping 1 zero-variance")
     @pytest.mark.parametrize(
         "case",
         [

@@ -15,8 +15,9 @@ repeat, so slow drift of the host and the cost of going first fall on all of
 them alike.  It ends with one timed run of the Tier-1 command per
 checkout, and keeps its ``--durations=10`` list.
 
-Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag,
-and the file records nproc, the BLAS thread variables, the thread count
+Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag
+and ``src_lines``, the line count of ``src/ssmean/*.py`` as ``wc -l`` sums
+it, and the file records nproc, the BLAS thread variables, the thread count
 ``ssmean._blas.describe()`` reports after ``set_one_thread()``, the Python
 and numpy versions, and ``PYTHONDONTWRITEBYTECODE``: when it is set, every
 CLI call compiles ssmean from source, which added about 50 ms to ``setup_s``
@@ -71,7 +72,9 @@ def _git(checkout: Path, *args: str) -> str:
 
 def revision(checkout: Path) -> dict:
     return {"rev": _git(checkout, "rev-parse", "HEAD"),
-            "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no"))}
+            "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
+            "src_lines": sum(path.read_bytes().count(b"\n")
+                             for path in (checkout / "src" / "ssmean").glob("*.py"))}
 
 
 def probe(checkout: Path) -> dict:
