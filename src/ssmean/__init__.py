@@ -39,7 +39,6 @@ from .sampling import (
     sample_student_t_each,
 )
 from .simulation import (
-    MetricsTable,
     SimDesign,
     SimulationResults,
     emit_density_data,
@@ -60,7 +59,6 @@ __all__ = [
     "FoldPosterior",
     "GENERATOR_NAME",
     "GibbsConfig",
-    "MetricsTable",
     "NuisancePosterior",
     "RngStream",
     "SimDesign",

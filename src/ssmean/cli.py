@@ -267,19 +267,18 @@ def cmd_simulate(config: RunConfig) -> Path:
     results = run_replications(config.design, jobs=config.jobs,
                                keep_draws=config.density_out is not None)
     elapsed = time.perf_counter() - started
-    table = results.table
     json_path = Path(f"{config.out}.json")
-    payload = table.to_json_dict()
+    payload = results.to_json_dict()
     payload["config"] = config.echo()
     payload["rng_algorithm"] = GENERATOR_NAME
     write_json_atomic(json_path, payload)
-    write_text_atomic(Path(f"{config.out}.csv"), table.to_csv())
+    write_text_atomic(Path(f"{config.out}.csv"), results.to_csv())
     if config.density_out is not None:
         emit_density_data(results, config.density_out)
-    star = "" if table.ore_star is None else f", achievable oracle RE {table.ore_star:.3f}"
+    star = "" if results.ore_star is None else f", achievable oracle RE {results.ore_star:.3f}"
     print(
         f"simulate: {config.design.reps} replications in {elapsed:.1f}s ({_blas.describe()}); "
-        f"oracle RE {table.ore:.3f}{star}",
+        f"oracle RE {results.ore:.3f}{star}",
         file=sys.stderr,
     )
     return json_path

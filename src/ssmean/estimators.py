@@ -153,7 +153,8 @@ def _check_width(rows: np.ndarray, p: int) -> np.ndarray:
     return rows
 
 
-def _base_diagnostics(data: Dataset, rng: RngStream, n_draws: int, alpha: float) -> dict:
+def _base_diagnostics(method: str, data: Dataset, rng: RngStream, n_draws: int,
+                      alpha: float) -> dict:
     diag = {
         "seed": rng.seed,
         "stream_id": rng.stream_id,
@@ -164,7 +165,8 @@ def _base_diagnostics(data: Dataset, rng: RngStream, n_draws: int, alpha: float)
         "n_draws": n_draws,
         "alpha": alpha,
     }
-    if data.n_unlabeled <= data.n:
+    # the supervised posterior reads no unlabeled row, so it has no gain to lose
+    if method != "sup" and data.n_unlabeled <= data.n:
         diag["warning_n_ge_unlabeled"] = (
             "labeled size >= unlabeled size; efficiency gain is not guaranteed"
         )
@@ -214,7 +216,7 @@ def _cross_fit(method, fold_step, data, n_folds, fitter, n_draws, alpha, rng) ->
         imputed_total += len(test_u) * imputed
         fold_diags.append({"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u),
                            **diag, "nuisance": fit.metadata})
-    diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
+    diagnostics = _base_diagnostics(method, data, rng, n_draws, alpha)
     diagnostics["n_folds"] = plan.n_folds
     diagnostics["folds"] = fold_diags
     point = bias_total / data.n + imputed_total / data.n_unlabeled
@@ -376,7 +378,7 @@ def supervised_posterior(
     ybar = float(y.mean())
     comp = TComponent(df=n - 1, location=ybar, scale_sq=float(y.var(ddof=1)) / n)
     draws = sample_student_t(comp, n_draws, rng.substream(1))
-    diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
+    diagnostics = _base_diagnostics("sup", data, rng, n_draws, alpha)
     diagnostics["posterior"] = {"df": comp.df, "location": comp.location, "scale_sq": comp.scale_sq}
     return _result("sup", draws, ybar, alpha, diagnostics)
 
@@ -413,6 +415,6 @@ def imputation_posterior(
     aug_mean = np.concatenate([[1.0], data.unlabeled_features.mean(axis=0)])
     draws = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p) @ aug_mean
     point = float(_check_width(fit.posterior_mean(), data.p) @ aug_mean)
-    diagnostics = _base_diagnostics(data, rng, n_draws, alpha)
+    diagnostics = _base_diagnostics("imp", data, rng, n_draws, alpha)
     diagnostics["nuisance"] = fit.metadata
     return _result("imp", draws, point, alpha, diagnostics)

@@ -28,25 +28,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TComponent:
-    """One Student-t distribution: t_df(location, scale_sq).
+    """Student-t distributions t_df(location, scale_sq) sharing one df.
 
-    scale_sq = 0 denotes a point mass at the location.
+    location and scale_sq are numbers, or arrays of one shape that hold one
+    distribution per entry.  scale_sq = 0 denotes a point mass at the location.
     """
 
     df: float
-    location: float
-    scale_sq: float
+    location: float | np.ndarray
+    scale_sq: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("df", "location", "scale_sq"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"TComponent.{name} must be finite")
-        if self.df <= 0:
-            raise InvalidParameterError(f"TComponent.df must be positive, got {self.df}")
-        if self.scale_sq < 0:
-            raise InvalidParameterError(
-                f"TComponent.scale_sq must be non-negative, got {self.scale_sq}"
-            )
+        if not (math.isfinite(self.df) and self.df > 0):
+            raise InvalidParameterError(f"TComponent.df must be positive and finite, got {self.df}")
+        if np.shape(self.location) != np.shape(self.scale_sq):
+            raise InvalidParameterError("TComponent.location and scale_sq must have equal shapes")
+        if not (np.isfinite(self.location).all() and np.isfinite(self.scale_sq).all()):
+            raise InvalidParameterError("TComponent.location and scale_sq must be finite")
+        if (np.asarray(self.scale_sq) < 0).any():
+            raise InvalidParameterError("TComponent.scale_sq must be non-negative")
 
 
 def _check_count(count: int) -> int:
@@ -55,25 +55,21 @@ def _check_count(count: int) -> int:
     return int(count)
 
 
-def _t_draws(g: np.random.Generator, df: float, location, scale_sq, shape) -> np.ndarray:
-    """location + sqrt(scale_sq) * z / sqrt(gam), computed in place on z in that order."""
+def _t_draws(g: np.random.Generator, comp: TComponent, shape) -> np.ndarray:
+    """location + sqrt(scale_sq) * z / sqrt(gam), in place on z; a point mass draws nothing."""
+    if not np.any(comp.scale_sq):
+        return np.full(shape, comp.location, dtype=float)
     z = g.standard_normal(shape)
-    gam = g.gamma(df / 2.0, 2.0 / df, size=shape)
-    z *= np.sqrt(scale_sq)
+    gam = g.gamma(comp.df / 2.0, 2.0 / comp.df, size=shape)
+    z *= np.sqrt(comp.scale_sq)
     z /= np.sqrt(gam, out=gam)
-    z += location
+    z += comp.location
     return z
-
-
-def _component_draws(g: np.random.Generator, comp: TComponent, count: int) -> np.ndarray:
-    if comp.scale_sq == 0.0:
-        return np.full(count, comp.location)
-    return _t_draws(g, comp.df, comp.location, comp.scale_sq, count)
 
 
 def sample_student_t(comp: TComponent, count: int, rng: RngStream) -> np.ndarray:
     """Draw `count` independent samples from t_df(location, scale_sq)."""
-    return _component_draws(rng.generator(), comp, _check_count(count))
+    return _t_draws(rng.generator(), comp, _check_count(count))
 
 
 def sample_student_t_each(
@@ -87,17 +83,8 @@ def sample_student_t_each(
     Vectorised companion to :func:`sample_student_t` for posteriors whose
     per-draw parameters differ but share a degrees-of-freedom value.
     """
-    locations = np.asarray(locations, dtype=float)
-    scale_sqs = np.asarray(scale_sqs, dtype=float)
-    if locations.shape != scale_sqs.shape:
-        raise InvalidParameterError("locations and scale_sqs must have equal shapes")
-    if not (np.isfinite(locations).all() and np.isfinite(scale_sqs).all()):
-        raise InvalidParameterError("non-finite t parameters")
-    if df <= 0 or not math.isfinite(df):
-        raise InvalidParameterError(f"df must be positive and finite, got {df}")
-    if (scale_sqs < 0).any():
-        raise InvalidParameterError("scale_sqs must be non-negative")
-    return _t_draws(rng.generator(), df, locations, scale_sqs, locations.shape)
+    comp = TComponent(df, np.asarray(locations, dtype=float), np.asarray(scale_sqs, dtype=float))
+    return _t_draws(rng.generator(), comp, comp.location.shape)
 
 
 def sample_convolution(
@@ -106,8 +93,8 @@ def sample_convolution(
     """Draw from the convolution of two t components (elementwise sums)."""
     count = _check_count(count)
     g = rng.generator()
-    total = _component_draws(g, a, count)
-    total += _component_draws(g, b, count)
+    total = _t_draws(g, a, count)
+    total += _t_draws(g, b, count)
     return total
 
 

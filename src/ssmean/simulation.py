@@ -34,7 +34,6 @@ from .rng import RngStream
 
 __all__ = [
     "SimDesign",
-    "MetricsTable",
     "SimulationResults",
     "ESTIMATORS",
     "parse_method_spec",
@@ -222,18 +221,33 @@ def mc_oracle_variances(
 
 
 @dataclass(frozen=True)
-class MetricsTable:
-    """Per-method error and coverage metrics for one design cell."""
+class SimulationResults:
+    """One design cell's replications: per-method estimates and metrics.
+
+    ``estimates[m]`` holds one point estimate per replication and ``draws[m]``,
+    when kept, a reps x n_draws array.  ``re`` is null without the supervised
+    baseline, and for an exact method, whose ratio is infinite.
+    """
 
     design: SimDesign
-    theta0: float
-    methods: tuple[str, ...]
+    estimates: dict
     mse: dict
     re: dict
     covp: dict
     mean_len: dict
-    ore: float
-    ore_star: float | None
+    draws: dict | None = None
+
+    @property
+    def theta0(self) -> float:
+        return true_theta(self.design)
+
+    @property
+    def ore(self) -> float:
+        return oracle_ore(self.design)
+
+    @property
+    def ore_star(self) -> float | None:
+        return oracle_ore_star(self.design) if self.design.kind == "misspec" else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,7 +265,7 @@ class MetricsTable:
                     "covp": self.covp[m],
                     "mean_len": self.mean_len[m],
                 }
-                for m in self.methods
+                for m in self.design.methods
             },
         }
 
@@ -259,7 +273,7 @@ class MetricsTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["method", "mse", "re", "covp", "mean_len"])
-        for m in self.methods:
+        for m in self.design.methods:
             re = self.re[m]
             writer.writerow(
                 [
@@ -271,19 +285,6 @@ class MetricsTable:
                 ]
             )
         return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class SimulationResults:
-    """Raw per-replication records plus the summarised table."""
-
-    design: SimDesign
-    theta0: float
-    table: MetricsTable
-    estimates: dict
-    hits: dict
-    lengths: dict
-    draws: dict | None = None
 
 
 def run_method(
@@ -301,11 +302,11 @@ def run_method(
     return ESTIMATORS[family](data, fitter, n_folds, n_draws, alpha, rng)
 
 
-def _replicate(design: SimDesign, rep: int, keep_draws: bool) -> dict:
+def _replicate(design: SimDesign, rep: int, keep_draws: bool) -> list[tuple]:
+    """Replication rep's (point, lo, hi, draws or None), one tuple per method."""
     rep_rng = RngStream(design.seed).substream(rep + 1)
     data = generate_dataset(design, rep_rng.substream(0))
-    out: dict = {"rep": rep, "estimate": {}, "hit": {}, "length": {}, "draws": {}}
-    theta0 = true_theta(design)
+    out = []
     for i, spec in enumerate(design.methods):
         try:
             result = run_method(
@@ -315,12 +316,7 @@ def _replicate(design: SimDesign, rep: int, keep_draws: bool) -> dict:
         except SsmeanError as exc:
             exc.args = (f"replication {rep}, method {spec}: {exc}",)
             raise
-        lo, hi = result.ci
-        out["estimate"][spec] = result.point_estimate
-        out["hit"][spec] = bool(lo <= theta0 <= hi)
-        out["length"][spec] = hi - lo
-        if keep_draws:
-            out["draws"][spec] = result.draws
+        out.append((result.point_estimate, *result.ci, result.draws if keep_draws else None))
     return out
 
 
@@ -330,23 +326,22 @@ def run_replications(
     """Run the design's replications and summarise MSE/RE/CovP/Len.
 
     Deterministic for a fixed seed: replication r always uses the substream
-    keyed by r, and records are reduced in replication order whatever the
+    keyed by r, and results are kept in replication order whatever the
     worker count.  Replications run BLAS on one thread, in the workers and in
     the sequential loop alike, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
     is set; the caller's count is restored when the loop ends.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
-    theta0 = true_theta(design)
     if jobs == 1 or design.reps == 1:
         with _blas.one_thread():
-            records = [_replicate(design, r, keep_draws) for r in range(design.reps)]
+            rows = [_replicate(design, r, keep_draws) for r in range(design.reps)]
     else:
         # imported here: every CLI call would otherwise pay for the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs, initializer=_blas.set_one_thread) as pool:
-            records = list(
+            rows = list(
                 pool.map(
                     _replicate,
                     [design] * design.reps,
@@ -355,35 +350,20 @@ def run_replications(
                     chunksize=max(1, design.reps // (4 * jobs)),
                 )
             )
-    records.sort(key=lambda rec: rec["rep"])
 
-    estimates = {m: np.array([rec["estimate"][m] for rec in records]) for m in design.methods}
-    hits = {m: np.array([rec["hit"][m] for rec in records]) for m in design.methods}
-    lengths = {m: np.array([rec["length"][m] for rec in records]) for m in design.methods}
-    draws = (
-        {m: np.vstack([rec["draws"][m] for rec in records]) for m in design.methods}
-        if keep_draws
-        else None
-    )
-
-    mse = {m: float(np.mean((estimates[m] - theta0) ** 2)) for m in design.methods}
-    # null without the supervised baseline, and for an exact method, whose ratio is infinite
+    theta0 = true_theta(design)
+    estimates, mse, covp, mean_len, draws = {}, {}, {}, {}, {}
+    for i, m in enumerate(design.methods):
+        estimates[m], lo, hi, draws[m] = (np.array(c) for c in zip(*(row[i] for row in rows)))
+        mse[m] = float(np.mean((estimates[m] - theta0) ** 2))
+        covp[m] = float(np.mean((lo <= theta0) & (theta0 <= hi)))
+        mean_len[m] = float(np.mean(hi - lo))
     re = {
         m: mse[SUPERVISED] / mse[m] if SUPERVISED in mse and mse[m] > 0 else None
         for m in design.methods
     }
-    table = MetricsTable(
-        design=design,
-        theta0=theta0,
-        methods=design.methods,
-        mse=mse,
-        re=re,
-        covp={m: float(hits[m].mean()) for m in design.methods},
-        mean_len={m: float(lengths[m].mean()) for m in design.methods},
-        ore=oracle_ore(design),
-        ore_star=oracle_ore_star(design) if design.kind == "misspec" else None,
-    )
-    return SimulationResults(design, theta0, table, estimates, hits, lengths, draws)
+    return SimulationResults(design, estimates, mse, re, covp, mean_len,
+                             draws if keep_draws else None)
 
 
 def _density_rows(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,14 +390,12 @@ def emit_density_data(results: SimulationResults, directory: str | Path) -> list
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for method in results.design.methods:
-        reps = results.design.reps
-        all_draws = results.draws[method].reshape(reps, -1)
         path = directory / f"density_{method.replace(':', '_')}.csv"
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["replication", "grid_point", "density"])
-            for rep in range(reps):
-                centers, density = _density_rows(all_draws[rep])
+            for rep, draws in enumerate(results.draws[method]):
+                centers, density = _density_rows(draws)
                 for x, f in zip(centers, density):
                     writer.writerow([rep, repr(float(x)), repr(float(f))])
         written.append(path)

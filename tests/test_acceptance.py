@@ -206,7 +206,7 @@ def test_criterion_2_convolution_oracle():
 
 
 def test_criterion_3_correct_specification(correct_run):
-    t = correct_run.table
+    t = correct_run
     checks = [
         ("re_bols", 3.2 <= t.re["bdmi:bols"] <= 5.3, f"{t.re['bdmi:bols']:.2f}"),
         ("re_bridge", 3.2 <= t.re["bdmi:bridge"] <= 5.3, f"{t.re['bdmi:bridge']:.2f}"),
@@ -239,7 +239,7 @@ def test_criterion_7_efficiency_ordering(correct_run):
 
 
 def test_criterion_8_hbdmi_parity(correct_run):
-    t = correct_run.table
+    t = correct_run
     gap = abs(t.re["hbdmi:bols"] - t.re["bdmi:bols"])
     checks = [
         ("re_gap", gap <= 0.8, f"{gap:.2f}"),
@@ -252,7 +252,7 @@ def test_criterion_8_hbdmi_parity(correct_run):
 
 
 def test_criterion_4_misspecification(misspec_run):
-    t = misspec_run.table
+    t = misspec_run
     est = misspec_run.estimates["bdmi:bols"]
     mc = mc_oracle_variances(MISSPEC_DESIGN)
     oracle_var = mc["sigma1_sq_star"] + (

@@ -192,6 +192,16 @@ class TestEstimateCommand:
         point = report["results"]["bdmi:constant:5"]["point_estimate"]
         assert point == pytest.approx(data.outcomes.mean(), abs=1e-10)
 
+    def test_supervised_carries_no_unlabeled_size_warning(self, tmp_path):
+        # sup never reads the unlabeled file, so its n_unlabeled is 0 <= n
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--labeled", labeled, "--unlabeled", unlabeled,
+                     "--method", "sup", "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["results"]["sup"]["diagnostics"]
+        assert diagnostics["n_unlabeled"] == 0
+        assert "warning_n_ge_unlabeled" not in diagnostics
+
     def test_round_trip_from_echoed_config(self, tmp_path):
         labeled, unlabeled, _ = _synthetic_csvs(tmp_path)
         out = tmp_path / "report.json"
@@ -322,6 +332,19 @@ class TestCompareCommand:
         assert report["rl_vs_supervised"]["bdmi:bols"] > 1.0  # N >> n
         assert main(args) == 0
         assert out.read_bytes() == first
+
+    def test_only_methods_that_use_unlabeled_rows_warn_when_n_ge_unlabeled(self, tmp_path):
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path, n=80, n_unlabeled=60)
+        out = tmp_path / "cmp.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "labeled": labeled, "unlabeled": unlabeled, "out": str(out), "k": 3, "m": 200,
+            "methods": ["bdmi:bols", "hbdmi:bols", "imp:bols"],
+        }))
+        assert main(["compare", "--config", str(config)]) == 0
+        results = json.loads(out.read_text())["results"]
+        warned = {m for m, r in results.items() if "warning_n_ge_unlabeled" in r["diagnostics"]}
+        assert warned == {"bdmi:bols", "hbdmi:bols", "imp:bols"}
 
     def test_constant_nuisance_degenerate_pair(self, tmp_path):
         labeled, unlabeled, data = _synthetic_csvs(tmp_path)

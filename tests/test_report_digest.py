@@ -1,0 +1,105 @@
+"""tools/report_digest.py on stub checkouts whose commands write fixed reports."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+
+STUB_WORKLOADS = """\
+WORKLOADS = {"one": {}, "two": {}}
+
+def cli_args(workload, seed, work):
+    return [workload, str(seed), work]
+
+def report_files(workload, work):
+    return [f"{work}/out/{workload}.txt", f"{work}/out/input.txt"]
+"""
+
+STUB_GEN = """\
+import argparse, pathlib
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--out"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+pathlib.Path(args.out, "input.txt").write_text(f"{args.workload} {args.seed}")
+"""
+
+# the report echoes the work directory, as ssmean's config echo echoes input paths
+STUB_CLI = """\
+import pathlib, shutil, sys
+workload, seed, work = sys.argv[1:4]
+value = {changed!r}.get(workload, "a")
+if value == "fail":
+    sys.exit(3)
+out = pathlib.Path(work, "out")
+out.mkdir()
+(out / f"{{workload}}.txt").write_text(f"{{value}} {{seed}} {{work}}")
+shutil.copy(pathlib.Path(work, "input.txt"), out / "input.txt")
+"""
+
+
+@pytest.fixture(scope="module")
+def report_digest():
+    spec = importlib.util.spec_from_file_location("report_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stub_checkout(root: Path, changed: dict | None = None) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "src" / "ssmean").mkdir(parents=True)
+    (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (root / "perfbench" / "gen.py").write_text(STUB_GEN)
+    (root / "src" / "ssmean" / "__init__.py").write_text("")
+    (root / "src" / "ssmean" / "cli.py").write_text(STUB_CLI.format(changed=changed or {}))
+    return root
+
+
+def _run(report_digest, capsys, *checkouts, seed=7):
+    argv = ["--seed", str(seed)]
+    for checkout in checkouts:
+        argv += ["--checkout", str(checkout)]
+    code = report_digest.main(argv)
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+def test_equal_checkouts_in_different_directories_agree(report_digest, tmp_path, capsys):
+    a = _stub_checkout(tmp_path / "a")
+    b = _stub_checkout(tmp_path / "b")
+    code, payload, err = _run(report_digest, capsys, a, b)
+    assert code == 0 and err == ""
+    assert payload["seed"] == 7 and list(payload["workloads"]) == ["one", "two"]
+    for workload, entry in payload["workloads"].items():
+        assert entry["differing"] == []
+        first, second = entry["runs"]
+        assert (first["checkout"], second["checkout"]) == (str(a), str(b))
+        assert first["exit_code"] == second["exit_code"] == 0
+        assert first["files"] == second["files"]
+        expected = hashlib.sha256(f"{workload} 7".encode()).hexdigest()
+        assert first["files"]["out/input.txt"] == expected
+
+
+def test_a_changed_report_is_named_and_fails(report_digest, tmp_path, capsys):
+    a = _stub_checkout(tmp_path / "a")
+    b = _stub_checkout(tmp_path / "b", changed={"two": "b"})
+    code, payload, err = _run(report_digest, capsys, a, b)
+    assert code == 1
+    assert payload["workloads"]["one"]["differing"] == []
+    assert payload["workloads"]["two"]["differing"] == ["out/two.txt"]
+    assert "two: out/two.txt differs" in err
+
+
+def test_a_failed_command_fails(report_digest, tmp_path, capsys):
+    a = _stub_checkout(tmp_path / "a", changed={"one": "fail"})
+    code, payload, err = _run(report_digest, capsys, a)
+    assert code == 1
+    (run,) = payload["workloads"]["one"]["runs"]
+    assert run["exit_code"] == 3 and run["files"] == {}
+    assert "one:" in err and "exited 3" in err
+    assert payload["workloads"]["two"]["runs"][0]["exit_code"] == 0

@@ -75,6 +75,13 @@ class TestStudentT:
             TComponent(df=2, location=0, scale_sq=-1)
         with pytest.raises(InvalidParameterError):
             sample_student_t(TComponent(df=2, location=0, scale_sq=1), 0, RNG)
+        for location, scale_sq in (
+            (np.zeros(3), np.ones(2)),  # shapes differ
+            (np.array([0.0, math.nan]), np.ones(2)),
+            (np.zeros(2), np.array([1.0, -0.5])),
+        ):
+            with pytest.raises(InvalidParameterError):
+                TComponent(df=2, location=location, scale_sq=scale_sq)
 
 
 class TestBatchStudentT:

@@ -123,23 +123,23 @@ class TestOracles:
 
 class TestRunReplications:
     def test_supervised_only_re_is_one(self):
-        table = run_replications(_design()).table
+        table = run_replications(_design())
         assert table.re["sup"] == 1.0
 
     def test_deterministic_output(self):
         design = _design(methods=("sup", "bdmi:bols"))
         a = run_replications(design)
         b = run_replications(design)
-        assert json.dumps(a.table.to_json_dict(), sort_keys=True) == json.dumps(
-            b.table.to_json_dict(), sort_keys=True
+        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
+            b.to_json_dict(), sort_keys=True
         )
-        assert a.table.to_csv() == b.table.to_csv()
+        assert a.to_csv() == b.to_csv()
 
     def test_parallel_equals_sequential(self):
         design = _design(methods=("sup", "bdmi:bols"), reps=6)
         seq = run_replications(design, jobs=1)
         par = run_replications(design, jobs=3)
-        assert seq.table.to_csv() == par.table.to_csv()
+        assert seq.to_csv() == par.to_csv()
         for m in design.methods:
             np.testing.assert_array_equal(seq.estimates[m], par.estimates[m])
 
@@ -147,13 +147,19 @@ class TestRunReplications:
         design = _design(methods=("sup", "bdmi:zero"), reps=5)
         results = run_replications(design)
         assert results.estimates["sup"].shape == (5,)
-        assert set(results.table.covp) == {"sup", "bdmi:zero"}
-        assert 0.0 <= results.table.covp["sup"] <= 1.0
-        assert results.table.ore_star is None  # correct design
+        assert set(results.covp) == {"sup", "bdmi:zero"}
+        assert 0.0 <= results.covp["sup"] <= 1.0
+        assert results.ore_star is None  # correct design
+
+    def test_kept_draws_are_reps_by_draws(self):
+        design = _design(methods=("sup", "bdmi:bols", "hbdmi:bols"), reps=3)
+        results = run_replications(design, keep_draws=True)
+        for m in design.methods:
+            assert results.draws[m].shape == (design.reps, design.n_draws)
 
     def test_misspec_reports_star(self):
         design = _design(kind="misspec", methods=("sup",), reps=2)
-        assert run_replications(design).table.ore_star is not None
+        assert run_replications(design).ore_star is not None
 
     def test_scaled_variance_tracks_limit_variance(self):
         # n * Var of the debiased estimator lands within 20% of the limit
@@ -181,7 +187,7 @@ class TestRunReplications:
                 reps=100, n_folds=5, methods=("sup", "bdmi:bridge"),
                 n_draws=300, alpha=0.05, seed=60,
             )
-            res.append(run_replications(design, jobs=2).table.re["bdmi:bridge"])
+            res.append(run_replications(design, jobs=2).re["bdmi:bridge"])
         assert res[0] < res[1] < res[2]
 
 
@@ -216,6 +222,15 @@ class TestDensityEmission:
         nonzero = body[body[:, 2] > 0]
         assert nonzero.shape[0] == 1
         assert nonzero[0, 1] == pytest.approx(4.5, abs=0.01)
+
+    def test_parallel_files_equal_sequential(self, tmp_path):
+        design = _design(methods=("sup", "bdmi:bols"), reps=5)
+        texts = {}
+        for jobs in (1, 2):
+            paths = emit_density_data(run_replications(design, jobs=jobs, keep_draws=True),
+                                      tmp_path / f"jobs{jobs}")
+            texts[jobs] = [path.read_bytes() for path in paths]
+        assert len(texts[1]) == 2 and texts[1] == texts[2]
 
     def test_requires_kept_draws(self, tmp_path):
         results = run_replications(_design())

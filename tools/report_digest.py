@@ -1,0 +1,122 @@
+"""Compare the report files of the benchmark workloads across checkouts.
+
+Usage (from anywhere):
+
+    python3 tools/report_digest.py [--checkout DIR ...] [--seed 5] [--workload W ...]
+
+For every checkout and every workload it
+
+- writes the workload's inputs with that checkout's ``perfbench/gen.py`` at
+  the seed;
+- runs the workload's ssmean command (``cli_args`` of the checkout's
+  ``perfbench/workloads.py``) with the checkout's ``src/`` on PYTHONPATH;
+- takes the sha256 of each file that ``report_files`` names.
+
+All checkouts run in one work directory, a temporary one emptied before each
+command and removed at the end: reports echo their input paths, so a
+directory per checkout would give each checkout different bytes.  The
+digests therefore hold within one call, not across calls.
+
+It prints one JSON object: per workload, each checkout's exit code and
+digests, and the files whose digests differ.  It exits 1, naming those
+files (or the failed command) on stderr, when the checkouts disagree or a
+command fails; a change that must keep every report byte for byte passes it
+with the parent commit and the change as the two checkouts.  Without
+``--workload`` it runs every workload of the first checkout's
+``perfbench/workloads.py``.  Only the stdlib is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_workloads(checkout: Path, index: int):
+    """The checkout's perfbench/workloads.py, as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"_report_digest_workloads_{index}", checkout / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(cmd: list[str], env: dict, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def digest_run(checkout: Path, wl, workload: str, seed: int, work: Path) -> dict:
+    """One workload of one checkout: its exit code and the sha256 of each report file."""
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    gen = [sys.executable, str(checkout / "perfbench" / "gen.py"), "--workload", workload,
+           "--seed", str(seed), "--out", str(work)]
+    proc = _run(gen, env, work)
+    if proc.returncode == 0:
+        cli = [sys.executable, "-m", "ssmean.cli", *wl.cli_args(workload, seed, str(work))]
+        proc = _run(cli, env, work)
+    out = {"checkout": str(checkout), "exit_code": proc.returncode, "files": {}}
+    if proc.returncode != 0:
+        out["error"] = proc.stderr[-2000:]
+        return out
+    for name in wl.report_files(workload, str(work)):
+        path = Path(name)
+        key = path.relative_to(work).as_posix()
+        out["files"][key] = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+    return out
+
+
+def compare(runs: list[dict]) -> list[str]:
+    """The file names whose digests are not the same in every run."""
+    names = sorted({name for run in runs for name in run["files"]})
+    return [name for name in names if len({run["files"].get(name) for run in runs}) > 1]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", action="append", type=Path,
+                        help="checkout to run (repeatable; default: this repository)")
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--workload", action="append",
+                        help="workload to run (repeatable; default: every workload)")
+    args = parser.parse_args(argv)
+    checkouts = [path.resolve() for path in args.checkout or [ROOT]]
+    modules = [load_workloads(checkout, i) for i, checkout in enumerate(checkouts)]
+    workloads = args.workload or list(modules[0].WORKLOADS)
+    payload = {"seed": args.seed, "workloads": {}}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
+        work = Path(tmp) / "work"
+        for workload in workloads:
+            runs = [digest_run(checkout, wl, workload, args.seed, work)
+                    for checkout, wl in zip(checkouts, modules)]
+            differing = compare(runs)
+            payload["workloads"][workload] = {"differing": differing, "runs": runs}
+            for run in runs:
+                if run["exit_code"] != 0:
+                    ok = False
+                    print(f"report_digest: {workload}: {run['checkout']} exited "
+                          f"{run['exit_code']}", file=sys.stderr)
+            for name in differing:
+                ok = False
+                print(f"report_digest: {workload}: {name} differs", file=sys.stderr)
+    print(json.dumps(payload, indent=2))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
