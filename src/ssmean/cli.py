@@ -26,7 +26,7 @@ import numpy as np
 from . import _blas
 from .data import Dataset, validate_dataset
 from .errors import ConfigError, DataError, NumericalError, SsmeanError
-from .io import load_labeled_csv, load_unlabeled_csv, write_json_atomic, write_text_atomic
+from .io import load_labeled_csv, load_unlabeled_csv, open_csv, write_json_atomic, write_text_atomic
 from .nuisance import GibbsConfig, make_fitter
 from .rng import GENERATOR_NAME, RngStream
 from .simulation import (
@@ -200,7 +200,7 @@ def parse_config(
     )
 
 
-def _load_dataset(config: RunConfig, needs_unlabeled: bool) -> Dataset:
+def _load_dataset(config: RunConfig, needs_unlabeled: bool, stream: bool = False) -> Dataset:
     if config.labeled is None:
         raise ConfigError("a labeled CSV is required (--labeled or config key 'labeled')")
     if needs_unlabeled and config.unlabeled is None:
@@ -208,10 +208,12 @@ def _load_dataset(config: RunConfig, needs_unlabeled: bool) -> Dataset:
             "this method uses unlabeled data (--unlabeled or config key 'unlabeled')"
         )
     outcomes, features, names = load_labeled_csv(config.labeled)
-    if needs_unlabeled:
-        unlabeled, _ = load_unlabeled_csv(config.unlabeled, expected_names=names)
-        return validate_dataset(np.column_stack([outcomes, features]), unlabeled)
-    return Dataset(outcomes, features, np.zeros((0, features.shape[1])))
+    if not needs_unlabeled:
+        return Dataset(outcomes, features, np.zeros((0, features.shape[1])))
+    if stream:  # the header is checked and the rows counted; the estimator parses them
+        return Dataset(outcomes, features, open_csv(config.unlabeled, expected_names=names))
+    unlabeled, _ = load_unlabeled_csv(config.unlabeled, expected_names=names)
+    return validate_dataset(np.column_stack([outcomes, features]), unlabeled)
 
 
 def _write_report(config: RunConfig, results: dict, **extra) -> Path:
@@ -239,7 +241,7 @@ def _write_report(config: RunConfig, results: dict, **extra) -> Path:
 def cmd_estimate(config: RunConfig) -> Path:
     """Run one method on ingested data and write a JSON report."""
     spec, = config.methods
-    data = _load_dataset(config, needs_unlabeled=spec != SUPERVISED)
+    data = _load_dataset(config, needs_unlabeled=spec != SUPERVISED, stream=True)
     rng = RngStream(config.seed)
     result = run_method(spec, data, config.k, config.m, config.alpha, config.gibbs, rng)
     return _write_report(config, {spec: result})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -16,11 +17,18 @@ from .errors import (
 from .rng import RngStream
 
 MIN_FOLD_ROWS = 3  # each test fold needs >= 3 points so both t components have df >= 2
+# Unlabeled rows parsed, evaluated or reduced at a time.  On an 80 000 x 50 CSV,
+# estimate's peak RSS was 41.0, 43.3 and 48.0 MB at 2048, 4096 and 8192 rows
+# (70.0 MB read whole), at the same wall time.
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled outcomes/features plus unlabeled features with a common width."""
+    """Labeled outcomes/features plus unlabeled features with a common width.
+
+    The unlabeled features are a matrix, or a CSV opened by ``io.open_csv``.
+    """
 
     outcomes: np.ndarray
     features: np.ndarray
@@ -90,6 +98,14 @@ def make_fold_plan(n: int, n_unlabeled: int, n_folds: int, rng: RngStream) -> Fo
     all_labeled = np.arange(n)
     train_sets = [np.setdiff1d(all_labeled, fold, assume_unique=True) for fold in labeled_folds]
     return FoldPlan(int(n_folds), labeled_folds, unlabeled_folds, train_sets)
+
+
+def row_blocks(unlabeled) -> Iterator[np.ndarray]:
+    """The rows in order, in blocks of at most BLOCK_ROWS: views of a matrix, or a CSV's parse."""
+    if isinstance(unlabeled, np.ndarray):
+        return (unlabeled[start : start + BLOCK_ROWS]
+                for start in range(0, unlabeled.shape[0], BLOCK_ROWS))
+    return unlabeled.blocks()
 
 
 def all_finite(matrix: np.ndarray) -> bool:

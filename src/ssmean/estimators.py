@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _blas
-from .data import Dataset, make_fold_plan
+from .data import Dataset, make_fold_plan, row_blocks
 from .errors import DimensionMismatchError, InsufficientDataError, InvalidParameterError, SsmeanError
 from .nuisance import Fitter
 from .rng import GENERATOR_NAME, RngStream
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 MIN_POSTERIOR_DRAWS = 100
-# rows of the unlabeled matrix that hbdmi gathers at a time
-BLOCK_ROWS = 512
 
 # substream labels inside one fold pipeline
 _FIT, _NUISANCE_DRAW, _THETA_BIAS, _THETA_IMPUTED = 0, 1, 2, 3
@@ -101,7 +99,6 @@ def fold_posterior(
     fold_unlabeled: np.ndarray,
     draw: np.ndarray,
     fold_id: int = 0,
-    unlabeled_rows: np.ndarray | None = None,
 ) -> FoldPosterior:
     """Exact per-fold posterior parameters for one regression draw.
 
@@ -110,22 +107,19 @@ def fold_posterior(
     scale var(Y - m(X)) / n_k; the imputed component is the analogue on the
     unlabeled fold predictions.  Both use df = rows - 1.
 
-    Given ``unlabeled_rows``, ``fold_unlabeled`` is the whole unlabeled
-    matrix and the fold is those rows of it: the draw is evaluated over the
-    whole matrix and the fold's predictions are taken from that one vector,
-    so the fold's rows are never gathered into a matrix of their own.
+    ``fold_unlabeled`` is the fold's n_u x p unlabeled features, or the
+    draw's n_u predictions on them, as ``bdmi_cf`` gathers them block by
+    block.
     """
     y = np.asarray(fold_outcomes, dtype=float)
     n_k = y.shape[0]
-    n_u = fold_unlabeled.shape[0] if unlabeled_rows is None else len(unlabeled_rows)
+    n_u = fold_unlabeled.shape[0]
     if n_k < 3 or n_u < 3:
         raise InsufficientDataError(
             f"fold {fold_id} needs >= 3 labeled and unlabeled rows, got ({n_k}, {n_u})"
         )
     mu_bias, scale_bias = _mean_and_scale_sq(y - _predict(draw, fold_features))
-    preds = _predict(draw, fold_unlabeled)
-    if unlabeled_rows is not None:
-        preds = preds[unlabeled_rows]
+    preds = fold_unlabeled if fold_unlabeled.ndim == 1 else _predict(draw, fold_unlabeled)
     mu_imp, scale_imp = _mean_and_scale_sq(preds)
     return FoldPosterior(
         t_bias=TComponent(df=n_k - 1, location=mu_bias, scale_sq=scale_bias),
@@ -186,36 +180,47 @@ def _result(method: str, draws: np.ndarray, point: float, alpha: float,
 
 
 @_blas.one_thread()
-def _cross_fit(method, fold_step, data, n_folds, fitter, n_draws, alpha, rng) -> EstimationResult:
+def _cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, rng) -> EstimationResult:
     """The cross-fitting loop of ``bdmi`` and ``hbdmi``.
 
-    Each fold fits the nuisance on its labeled complement; ``fold_step(fit,
-    k, labeled_rows, unlabeled_rows, n_draws, fold_rng)`` then returns the
-    fold's n_draws posterior samples, its bias and imputed locations at the
-    point estimate, and its diagnostics.  Aggregated draws are the
-    across-fold averages; the point estimate is the size-weighted
-    combination of the fold locations.
+    Each fold fits the nuisance on its labeled complement, and
+    ``start_fold(fit, k, labeled_rows, n_draws, fold_rng)`` returns
+    ``add(block, rows)``, given each block of unlabeled rows and the fold's
+    rows in it, read once after every fold's fit, and ``finish()``, which
+    returns the fold's n_draws posterior samples, its bias and imputed
+    locations at the point estimate, and its diagnostics.
+    Aggregated draws are the across-fold averages; the point estimate is the
+    size-weighted combination of the fold locations.
     """
     n_draws = _check_draw_count(n_draws)
     plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
-    per_fold = np.empty((plan.n_folds, n_draws))
-    bias_total = 0.0
-    imputed_total = 0.0
-    fold_diags = []
-    for k, (train, test_l, test_u) in enumerate(
-        zip(plan.train_sets, plan.labeled_folds, plan.unlabeled_folds)
-    ):
+    folds = []
+    for k, (train, test_l) in enumerate(zip(plan.train_sets, plan.labeled_folds)):
         fold_rng = rng.substream(k + 1)
         try:
             fit = fitter(data.features[train], data.outcomes[train], fold_rng.substream(_FIT))
         except SsmeanError as exc:
             exc.args = (f"fold {k}: {exc}",)
             raise
-        per_fold[k], bias, imputed, diag = fold_step(fit, k, test_l, test_u, n_draws, fold_rng)
+        folds.append((*start_fold(fit, k, test_l, n_draws, fold_rng), fit.metadata))
+    start = 0
+    for block in row_blocks(data.unlabeled_features):
+        for rows, (add, _, _) in zip(plan.unlabeled_folds, folds):
+            lo, hi = np.searchsorted(rows, [start, start + len(block)])  # rows are sorted
+            add(block, rows[lo:hi] - start)
+        start += len(block)
+    per_fold = np.empty((plan.n_folds, n_draws))
+    bias_total = 0.0
+    imputed_total = 0.0
+    fold_diags = []
+    for k, ((_, finish, metadata), test_l, test_u) in enumerate(
+        zip(folds, plan.labeled_folds, plan.unlabeled_folds)
+    ):
+        per_fold[k], bias, imputed, diag = finish()
         bias_total += len(test_l) * bias
         imputed_total += len(test_u) * imputed
         fold_diags.append({"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u),
-                           **diag, "nuisance": fit.metadata})
+                           **diag, "nuisance": metadata})
     diagnostics = _base_diagnostics(method, data, rng, n_draws, alpha)
     diagnostics["n_folds"] = plan.n_folds
     diagnostics["folds"] = fold_diags
@@ -235,91 +240,99 @@ def bdmi_cf(
 
     Each fold fits the nuisance on its labeled complement, draws one
     regression function, forms the fold's t-convolution posterior on the
-    held-out rows (the draw is evaluated over the whole unlabeled matrix, so
-    no fold's unlabeled rows are copied), and contributes n_draws samples;
-    aggregated draws are the across-fold averages.  The point estimate is
-    the size-weighted closed-form combination of the fold centers, which
-    equals the grand means of the residuals over the labeled data and the
-    predictions over the unlabeled data.
+    held-out rows, and contributes n_draws samples; aggregated draws are the
+    across-fold averages.  The draw is evaluated over each block of
+    unlabeled rows and the fold keeps its own rows' predictions, so the
+    unlabeled rows enter only through those N predictions.  The point
+    estimate is the size-weighted closed-form combination of the fold
+    centers, which equals the grand means of the residuals over the labeled
+    data and the predictions over the unlabeled data.
     """
 
-    def fold_step(fit, k, test_l, test_u, n_draws, fold_rng):
+    def start_fold(fit, k, test_l, n_draws, fold_rng):
         draw = _check_width(fit.sample_many(1, fold_rng.substream(_NUISANCE_DRAW)), data.p)[0]
-        fp = fold_posterior(
-            data.outcomes[test_l], data.features[test_l],
-            data.unlabeled_features, draw, fold_id=k, unlabeled_rows=test_u,
-        )
-        draws = sample_convolution(
-            fp.t_bias, fp.t_imputed, n_draws, fold_rng.substream(_THETA_BIAS)
-        )
-        # bias_df, bias_location, bias_scale_sq, and the same for imputed
-        diag = {f"{side}_{key}": value
-                for side, comp in (("bias", fp.t_bias), ("imputed", fp.t_imputed))
-                for key, value in asdict(comp).items()}
-        return draws, fp.t_bias.location, fp.t_imputed.location, diag
+        preds = []
 
-    return _cross_fit("bdmi", fold_step, data, n_folds, fitter, n_draws, alpha, rng)
+        def finish():
+            fp = fold_posterior(data.outcomes[test_l], data.features[test_l],
+                                np.concatenate(preds), draw, fold_id=k)
+            draws = sample_convolution(
+                fp.t_bias, fp.t_imputed, n_draws, fold_rng.substream(_THETA_BIAS)
+            )
+            # bias_df, bias_location, bias_scale_sq, and the same for imputed
+            diag = {f"{side}_{key}": value
+                    for side, comp in (("bias", fp.t_bias), ("imputed", fp.t_imputed))
+                    for key, value in asdict(comp).items()}
+            return draws, fp.t_bias.location, fp.t_imputed.location, diag
+
+        return (lambda block, local: preds.append(_predict(draw, block)[local])), finish
+
+    return _cross_fit("bdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
 
 
-def _centred_r(matrix: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and the R factor of ``matrix[rows]`` centred on them.
+class _Scatter:
+    """Running count, column means and R factor of the centred rows added so far.
 
-    At most BLOCK_ROWS rows are gathered at a time: one pass sums the
-    columns, a second stacks each centred block onto the running R and
-    takes the R factor of the stack (TSQR; Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 2012).  R has min(rows, columns) rows, so a fold
-    narrower than the matrix needs no special case.  Far from the origin a
-    location cancels (the intercept carries -b'xbar); so that it stays as
-    accurate as an average of rounded predictions, the means gain their
-    rounding remainder from the centred data and come back in extended
-    precision where the platform has it.
+    A block of n_b rows, centred on its own means as C, merges into n_a rows
+    as R <- qr([R; C; sqrt(n_a n_b / n) (xbar_b - xbar_a)]): the scatter
+    matrices add, plus the mean-difference term (Chan, Golub & LeVeque 1983),
+    in the TSQR form of Demmel, Grigori, Hoemmen & Langou (SIAM J. Sci.
+    Comput. 2012).  Far from the origin a location cancels (the intercept
+    carries -b'xbar); so that it stays as accurate as an average of rounded
+    predictions, each block's means gain their rounding remainder from C and
+    are merged in extended precision where the platform has it.
     """
-    count = len(rows)
-    blocks = [rows[start:start + BLOCK_ROWS] for start in range(0, count, BLOCK_ROWS)]
-    mean = sum(matrix[block].sum(axis=0) for block in blocks) / count
-    remainder = np.zeros(matrix.shape[1])
-    r = np.empty((0, matrix.shape[1]))
-    for block in blocks:
-        centred = matrix[block]
-        centred -= mean
-        remainder += centred.sum(axis=0)
-        r = np.linalg.qr(np.vstack([r, centred]), mode="r")
-    return mean.astype(np.longdouble) + remainder / count, r
+
+    def __init__(self, width: int):
+        self.count = 0
+        self.mean = np.zeros(width, dtype=np.longdouble)
+        self.r = np.empty((0, width))
+
+    def add(self, matrix: np.ndarray, rows: np.ndarray) -> None:
+        """Merge in ``matrix[rows]``, gathered straight into the stack that QR takes."""
+        n_b, r = len(rows), self.r.shape[0]
+        if n_b == 0:
+            return
+        stack = np.empty((r + n_b + 1, matrix.shape[1]))
+        stack[:r] = self.r
+        # the rows are in range; the default mode="raise" would gather through a buffer
+        centred = matrix.take(rows, axis=0, out=stack[r:-1], mode="clip")
+        block_mean = centred.mean(axis=0)
+        centred -= block_mean
+        delta = block_mean.astype(np.longdouble) + centred.sum(axis=0) / n_b - self.mean
+        n = self.count + n_b
+        stack[-1] = np.sqrt(self.count * n_b / n) * delta
+        self.r = np.linalg.qr(stack, mode="r")
+        self.mean += delta * (n_b / n)
+        self.count = n
 
 
 def _fold_moments(
-    coef_draws: np.ndarray,
-    labeled: np.ndarray,
-    labeled_rows: np.ndarray,
-    unlabeled: np.ndarray,
-    unlabeled_rows: np.ndarray,
+    coef_draws: np.ndarray, labeled: _Scatter, unlabeled: _Scatter
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw fold moments of many linear draws, from two small R factors.
 
-    The fold is ``labeled_rows`` of the matrix ``labeled`` = [y, X] and
-    ``unlabeled_rows`` of the unlabeled matrix.  For a draw (a, b) the
-    labeled residuals y - a - X b have mean ybar - a - b'xbar and sample
-    variance |R_l (1, -b)|^2 / (n_k - 1), with R_l the R factor of the
-    centred [y, X] rows; the unlabeled predictions have mean a + b'xbar_u
-    and variance |R_u b|^2 / (n_u - 1).  Householder QR is backward stable
-    (Higham 2002, ch. 19) and a sum of squares cannot cancel, so unlike the
-    quadratic form b'Sb this needs no fallback on near-exact fits.  Returns
-    (mu_bias, scale_bias, mu_imp, scale_imp) as ``fold_posterior`` defines
-    them, one entry per row of ``coef_draws``.
+    ``labeled`` holds the fold's [y, X] rows and ``unlabeled`` its unlabeled
+    rows.  For a draw (a, b) the labeled residuals y - a - X b have mean
+    ybar - a - b'xbar and sample variance |R_l (1, -b)|^2 / (n_k - 1), with
+    R_l the R factor of the centred [y, X] rows; the unlabeled predictions
+    have mean a + b'xbar_u and variance |R_u b|^2 / (n_u - 1).  Householder
+    QR is backward stable (Higham 2002, ch. 19) and a sum of squares cannot
+    cancel, so unlike the quadratic form b'Sb this needs no fallback on
+    near-exact fits.  Returns (mu_bias, scale_bias, mu_imp, scale_imp) as
+    ``fold_posterior`` defines them, one entry per row of ``coef_draws``.
     """
-    n_k, n_u = len(labeled_rows), len(unlabeled_rows)
-    labeled_mean, r_labeled = _centred_r(labeled, labeled_rows)
-    unlabeled_mean, r_unlabeled = _centred_r(unlabeled, unlabeled_rows)
+    n_k, n_u = labeled.count, unlabeled.count
     intercepts, slopes = coef_draws[:, 0], coef_draws[:, 1:]
-    mu_bias = (labeled_mean[0] - intercepts - slopes @ labeled_mean[1:]).astype(float)
-    mu_imp = (intercepts + slopes @ unlabeled_mean).astype(float)
+    mu_bias = (labeled.mean[0] - intercepts - slopes @ labeled.mean[1:]).astype(float)
+    mu_imp = (intercepts + slopes @ unlabeled.mean).astype(float)
     # R_l (1, -b) in place, and squared column norms by einsum, so that about one
     # array of the draws' size is held at a time
-    resid = r_labeled[:, 1:] @ slopes.T
-    np.subtract(r_labeled[:, :1], resid, out=resid)
+    resid = labeled.r[:, 1:] @ slopes.T
+    np.subtract(labeled.r[:, :1], resid, out=resid)
     scale_bias = np.einsum("ij,ij->j", resid, resid) / (n_k - 1) / n_k
     del resid
-    preds = r_unlabeled @ slopes.T
+    preds = unlabeled.r @ slopes.T
     scale_imp = np.einsum("ij,ij->j", preds, preds) / (n_u - 1) / n_u
     return mu_bias, scale_bias, mu_imp, scale_imp
 
@@ -337,33 +350,42 @@ def hbdmi_cf(
     Per fold, n_draws regression functions are drawn; each induces its own
     fold posterior from which a single sample is taken.  The fold moments of
     all draws come from two R factors of the centred fold data (see
-    ``_fold_moments``), not from n_draws x n_u prediction matrices.  The
+    ``_fold_moments``), not from n_draws x n_u prediction matrices; the
+    unlabeled one is merged block by block (see ``_Scatter``).  The
     point estimate plugs the nuisance posterior mean, taken as one more row
     of the same moments, into the fold-center formula (size-weighted across
     folds).
     """
     labeled = np.column_stack([data.outcomes, data.features])
 
-    def fold_step(fit, k, test_l, test_u, n_draws, fold_rng):
-        rows = np.vstack([
-            _check_width(fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p),
-            _check_width(fit.posterior_mean(), data.p),
-        ])
-        mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
-            rows, labeled, test_l, data.unlabeled_features, test_u
-        )
-        draws = sample_student_t_each(
-            len(test_l) - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
-        ) + sample_student_t_each(
-            len(test_u) - 1, mu_imp[:-1], scale_imp[:-1], fold_rng.substream(_THETA_IMPUTED)
-        )
-        diag = {
-            "bias_location_mean": float(mu_bias[:-1].mean()),
-            "imputed_location_mean": float(mu_imp[:-1].mean()),
-        }
-        return draws, float(mu_bias[-1]), float(mu_imp[-1]), diag
+    def start_fold(fit, k, test_l, n_draws, fold_rng):
+        mean_row = _check_width(fit.posterior_mean(), data.p)
+        labeled_scatter, unlabeled_scatter = _Scatter(data.p + 1), _Scatter(data.p)
+        labeled_scatter.add(labeled, test_l)
 
-    return _cross_fit("hbdmi", fold_step, data, n_folds, fitter, n_draws, alpha, rng)
+        def finish():
+            # drawn once the rows are read: K folds' n_draws rows would wait for them
+            # beside each other, and a linear fit is far smaller
+            rows = np.vstack([_check_width(
+                fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p), mean_row])
+            mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
+                rows, labeled_scatter, unlabeled_scatter
+            )
+            draws = sample_student_t_each(
+                len(test_l) - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
+            ) + sample_student_t_each(
+                unlabeled_scatter.count - 1, mu_imp[:-1], scale_imp[:-1],
+                fold_rng.substream(_THETA_IMPUTED),
+            )
+            diag = {
+                "bias_location_mean": float(mu_bias[:-1].mean()),
+                "imputed_location_mean": float(mu_imp[:-1].mean()),
+            }
+            return draws, float(mu_bias[-1]), float(mu_imp[-1]), diag
+
+        return unlabeled_scatter.add, finish
+
+    return _cross_fit("hbdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
 
 
 def supervised_posterior(
@@ -396,7 +418,8 @@ def imputation_posterior(
     The nuisance is fitted on all labeled rows (no splitting); each posterior
     draw is the unlabeled-data mean of one sampled regression function, and
     the point estimate that of the posterior mean.  Both come from the
-    column means of the unlabeled matrix.  This construction is sensitive to
+    column means of the unlabeled rows, summed block by block after the
+    fit.  This construction is sensitive to
     the nuisance posterior and is shipped as a contrast, not as a
     recommended estimator.
 
@@ -412,9 +435,12 @@ def imputation_posterior(
     """
     n_draws = _check_draw_count(n_draws)
     fit = fitter(data.features, data.outcomes, rng.substream(1))
-    aug_mean = np.concatenate([[1.0], data.unlabeled_features.mean(axis=0)])
-    draws = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p) @ aug_mean
-    point = float(_check_width(fit.posterior_mean(), data.p) @ aug_mean)
+    rows = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p)
+    mean_row = _check_width(fit.posterior_mean(), data.p)
+    total = sum(block.sum(axis=0) for block in row_blocks(data.unlabeled_features))
+    aug_mean = np.concatenate([[1.0], total / data.n_unlabeled])
+    draws = rows @ aug_mean
+    point = float(mean_row @ aug_mean)
     diagnostics = _base_diagnostics("imp", data, rng, n_draws, alpha)
     diagnostics["nuisance"] = fit.metadata
     return _result("imp", draws, point, alpha, diagnostics)

@@ -8,16 +8,22 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from . import data
 from .data import all_finite
 from .errors import DataError, NumericalError, ValidationError
 
 __all__ = [
+    "CsvRows",
     "load_labeled_csv",
     "load_unlabeled_csv",
+    "open_csv",
     "write_text_atomic",
     "write_json_atomic",
 ]
@@ -40,23 +46,18 @@ def _parse_cell(token: str, line_num: int, column: str) -> float:
     return value
 
 
-def _scan_rows(reader, header: list[str], path: Path) -> np.ndarray:
-    """Parse the body cell by cell, raising on the first bad line and column."""
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
+def _scan_rows(reader, header: list[str], path: Path, skip: int) -> Iterator[list[float]]:
+    """Parse the non-empty rows after the first ``skip`` cell by cell, raising on
+    the first bad line and column."""
+    for row in filter(None, reader):  # csv gives [] for a blank line
+        if skip:
+            skip -= 1
+        elif len(row) != len(header):
             raise DataError(
-                f"{path}: line {reader.line_num} has {len(row)} fields, "
-                f"expected {len(header)}"
+                f"{path}: line {reader.line_num} has {len(row)} fields, expected {len(header)}"
             )
-        rows.append(
-            [_parse_cell(cell, reader.line_num, header[j]) for j, cell in enumerate(row)]
-        )
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+        else:
+            yield [_parse_cell(cell, reader.line_num, header[j]) for j, cell in enumerate(row)]
 
 
 def _not_utf8(path: Path) -> DataError:
@@ -76,33 +77,114 @@ def _not_utf8(path: Path) -> DataError:
     return DataError(f"{path}: not valid UTF-8")
 
 
-def _read_matrix(
-    path: str | Path, min_columns: int, expected_names: list[str] | None = None
-) -> tuple[list[str], np.ndarray]:
-    """Read the header with csv, then the body with numpy's C parser.
+def _open_text(path: Path):
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+        return open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
 
-    numpy takes a subset of what the per-cell parser accepts (no quotes,
-    underscores or non-ASCII digits) and gives the same doubles, so when it
-    rejects the body, or the body has the wrong width, no rows or a
-    non-finite cell, the per-cell parser rescans the file: it either accepts
-    it or names the first bad line and column.
+
+def _count_rows(path: Path) -> int:
+    """The data rows below the header, counted from the raw bytes without parsing.
+
+    A row is a non-empty line, as numpy and csv read it: it starts at a byte
+    that ends no line (\\n or \\r) and follows one that does.  A quoted cell
+    may hold a line end, so csv counts a file with a quote.
+    """
+    rows, last = 0, b"\n"
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):  # the fastest chunk size on a 30 MB file
+            if b'"' in chunk:
+                with _open_text(path) as text:
+                    return sum(1 for row in csv.reader(text) if row) - 1
+            raw = np.frombuffer(last + chunk, dtype=np.uint8)
+            ends = (raw == ord("\n")) | (raw == ord("\r"))
+            rows += int(np.count_nonzero(ends[:-1] > ends[1:]))
+            last = chunk[-1:]
+    return rows - 1  # the header
+
+
+@dataclass(frozen=True)
+class CsvRows:
+    """A CSV file with a checked header and counted rows, parsed by ``blocks``."""
+
+    path: Path
+    header: list[str]
+    n_rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, len(self.header)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows in order, parsed once, in blocks of at most ``data.BLOCK_ROWS`` rows.
+
+        numpy's C parser takes a subset of what the per-cell parser accepts
+        (no quotes, underscores or non-ASCII digits) and gives the same
+        doubles.  From the first block that numpy rejects, or that has the
+        wrong width or a non-finite cell, the per-cell parser reads the rest
+        of the file: it either accepts it or names the first bad line and
+        column.  Rows that differ in number from the count are rejected.
+        """
+        done = 0
+        with _open_text(self.path) as handle:
+            try:
+                next(csv.reader(handle))  # the header
+                while done < self.n_rows:
+                    size = min(data.BLOCK_ROWS, self.n_rows - done)
+                    try:
+                        with warnings.catch_warnings():  # blank lines are skipped as before
+                            warnings.filterwarnings("ignore", "Input line .* contained no data")
+                            block = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2,
+                                               dtype=float, max_rows=size)
+                    except ValueError:
+                        break
+                    if block.shape != (size, len(self.header)) or not all_finite(block):
+                        break
+                    done += size
+                    yield block
+                else:
+                    done += sum(1 for line in handle if line.strip("\r\n"))
+                if done < self.n_rows:
+                    handle.seek(0)
+                    rows = _scan_rows(csv.reader(handle), self.header, self.path, skip=done + 1)
+                    while block := list(islice(rows, data.BLOCK_ROWS)):
+                        done += len(block)
+                        if done <= self.n_rows:
+                            yield np.array(block, dtype=float)
+            except UnicodeDecodeError:
+                raise _not_utf8(self.path) from None
+        if done != self.n_rows:
+            raise DataError(f"{self.path}: parsed {done} data rows, but counted {self.n_rows} "
+                            "before parsing; was the file changed?")
+
+    def read(self) -> np.ndarray:
+        """The whole body as one matrix, filled block by block."""
+        matrix = np.empty(self.shape)
+        start = 0
+        for block in self.blocks():
+            matrix[start : start + len(block)] = block
+            start += len(block)
+        return matrix
+
+
+def open_csv(
+    path: str | Path, min_columns: int = 1, expected_names: list[str] | None = None
+) -> CsvRows:
+    """Check a CSV's header, optionally against ``expected_names``, and count its rows.
+
+    No row is parsed: an estimator given the result as a ``Dataset``'s
+    unlabeled features parses them once, in blocks, after its fits.
     """
     path = Path(path)
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports start with
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+        with _open_text(path) as handle:
+            header = next(csv.reader(handle), None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
         header = [name.strip() for name in header]
-        if len(header) < min_columns or any(not name for name in header):
+        if len(header) < min_columns or not all(header):
             raise DataError(
                 f"{path}: header must name at least {min_columns} non-empty column(s)"
             )
@@ -111,29 +193,12 @@ def _read_matrix(
                 f"{path}: feature columns {header} do not match the labeled file's "
                 f"feature columns {list(expected_names)}"
             )
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below as "no data rows"
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                matrix = np.loadtxt(
-                    handle, delimiter=",", comments=None, ndmin=2, dtype=float
-                )
-        except ValueError:
-            matrix = None
-        if (
-            matrix is None
-            or matrix.shape[0] == 0
-            or matrix.shape[1] != len(header)
-            or not all_finite(matrix)
-        ):
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)  # the header, checked above
-            try:
-                matrix = _scan_rows(reader, header, path)
-            except UnicodeDecodeError:
-                raise _not_utf8(path) from None
-    return header, matrix
+        n_rows = _count_rows(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if n_rows == 0:
+        raise DataError(f"{path}: no data rows")
+    return CsvRows(path, header, n_rows)
 
 
 def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -141,20 +206,17 @@ def load_labeled_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[str
 
     Returns (outcomes, features, feature_names).
     """
-    header, matrix = _read_matrix(path, min_columns=2)
-    return matrix[:, 0], matrix[:, 1:], header[1:]
+    rows = open_csv(path, min_columns=2)
+    matrix = rows.read()
+    return matrix[:, 0], matrix[:, 1:], rows.header[1:]
 
 
 def load_unlabeled_csv(
     path: str | Path, expected_names: list[str] | None = None
 ) -> tuple[np.ndarray, list[str]]:
-    """Read a features-only CSV, optionally checking the header names/order.
-
-    A header that does not match ``expected_names`` is rejected before the
-    body is read.
-    """
-    header, matrix = _read_matrix(path, min_columns=1, expected_names=expected_names)
-    return matrix, header
+    """Read a features-only CSV into a matrix, with ``open_csv``'s checks."""
+    rows = open_csv(path, expected_names=expected_names)
+    return rows.read(), rows.header
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

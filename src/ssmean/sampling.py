@@ -57,6 +57,10 @@ def _check_count(count: int) -> int:
 
 def _t_draws(g: np.random.Generator, comp: TComponent, shape) -> np.ndarray:
     """location + sqrt(scale_sq) * z / sqrt(gam), in place on z; a point mass draws nothing."""
+    if np.ndim(comp.location) and np.shape(comp.location) != tuple(np.atleast_1d(shape)):
+        raise InvalidParameterError(
+            f"a TComponent of shape {np.shape(comp.location)} cannot give draws of shape {shape}"
+        )
     if not np.any(comp.scale_sq):
         return np.full(shape, comp.location, dtype=float)
     z = g.standard_normal(shape)

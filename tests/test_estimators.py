@@ -26,7 +26,8 @@ from ssmean import (
 )
 from ssmean.nuisance import MultivariateTPosterior, constant_nuisance
 from ssmean.errors import DimensionMismatchError, InsufficientDataError, InvalidParameterError
-from ssmean.estimators import BLOCK_ROWS, _fold_moments
+from ssmean.data import BLOCK_ROWS, row_blocks
+from ssmean.estimators import _fold_moments, _Scatter
 from ssmean.simulation import signal_coefficients
 
 RNG = RngStream(555001)
@@ -101,8 +102,8 @@ class TestFoldPosterior:
             )
         with pytest.raises(InsufficientDataError):
             fold_posterior(
-                np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros((5, 1)),
-                zero_nuisance(1).posterior_mean(), unlabeled_rows=np.array([0, 4]),
+                np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros(2),
+                zero_nuisance(1).posterior_mean(),
             )
 
     def test_unlabeled_rows_of_the_whole_matrix_match_the_gathered_fold(self):
@@ -112,7 +113,7 @@ class TestFoldPosterior:
         rows = np.sort(gen.choice(41, size=13, replace=False))
         draw = np.array([-2.5, 0.4, -1.2, 3.0])
         gathered = fold_posterior(y, X, Xu[rows], draw, fold_id=3)
-        indexed = fold_posterior(y, X, Xu, draw, fold_id=3, unlabeled_rows=rows)
+        indexed = fold_posterior(y, X, (Xu @ draw[1:] + draw[0])[rows], draw, fold_id=3)
         assert indexed.t_bias == gathered.t_bias
         assert indexed.fold_id == 3 and indexed.t_imputed.df == 12
         # a row's product may round differently at another position in the matrix
@@ -302,10 +303,17 @@ def _fitted_fold(nuisance="bols", m=60, n_k=10, n_u=50, p=4, noise=1.0, y_scale=
     return fit.sample_many(n_draws, RngStream(seed, 93)), y_l, X_l, X_u
 
 
+def _scatter(matrix):
+    """A ``_Scatter`` of every row of ``matrix``, added block by block."""
+    scatter = _Scatter(matrix.shape[1])
+    for block in row_blocks(matrix):
+        scatter.add(block, np.arange(len(block)))
+    return scatter
+
+
 def _moments(coef_draws, y, X_l, X_u):
     """``_fold_moments`` on a fold that is every row of its two matrices."""
-    return _fold_moments(coef_draws, np.column_stack([y, X_l]), np.arange(len(y)),
-                         X_u, np.arange(X_u.shape[0]))
+    return _fold_moments(coef_draws, _scatter(np.column_stack([y, X_l])), _scatter(X_u))
 
 
 def _extended_reference(coef_draws, y, X_l, X_u):
@@ -350,7 +358,13 @@ class TestFoldMoments:
         rows_u = np.sort(gen.choice(unlabeled.shape[0], size=X_u.shape[0], replace=False))
         labeled[rows_l] = np.column_stack([y, X_l])
         unlabeled[rows_u] = X_u
-        scattered = _fold_moments(coef_draws, labeled, rows_l, unlabeled, rows_u)
+        # each block of the whole matrix adds its rows of the fold, as hbdmi_cf's pass does
+        labeled_fold, fold = _Scatter(7), _Scatter(6)
+        labeled_fold.add(labeled, rows_l)
+        for start in range(0, unlabeled.shape[0], BLOCK_ROWS):
+            block = unlabeled[start:start + BLOCK_ROWS]
+            fold.add(block, rows_u[(rows_u >= start) & (rows_u < start + len(block))] - start)
+        scattered = _fold_moments(coef_draws, labeled_fold, fold)
         for name, new, ref in zip(MOMENTS, scattered, _moments(coef_draws, y, X_l, X_u)):
             assert _max_error(new, ref) <= 1e-12 * np.max(np.abs(ref)), name
 

@@ -2,12 +2,14 @@
 per-cell ``float()`` reading accepts and rejects, naming the same line and column."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssmean.data
 import ssmean.io
 from _oracles import read_csv_reference
 from ssmean.errors import DataError, NumericalError, ValidationError
@@ -117,6 +119,7 @@ def test_edge_case_matches_per_cell_reference(tmp_path, text, expected):
         matrix, header = load_unlabeled_csv(path)
         _same_matrix(matrix, read_csv_reference(path).matrix)
         assert header == (["a"] if text.startswith("a\n") else ["a", "b"])
+        assert matrix.shape[0] == ssmean.io.open_csv(path).n_rows
         return
     if len(expected) == 1:
         with pytest.raises(DataError, match=expected[0]):
@@ -145,6 +148,20 @@ _ROW = st.one_of(
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
 )
 def test_reader_agrees_with_per_cell_reference(tmp_path_factory, rows, newline):
+    _agrees_with_reference(tmp_path_factory, rows, newline)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(_ROW, min_size=0, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_reader_agrees_with_per_cell_reference_in_blocks_of_3(tmp_path_factory, rows, newline):
+    with mock.patch.object(ssmean.data, "BLOCK_ROWS", 3):
+        _agrees_with_reference(tmp_path_factory, rows, newline)
+
+
+def _agrees_with_reference(tmp_path_factory, rows, newline):
     body = newline.join(",".join(row) for row in rows)
     path = _write(tmp_path_factory.mktemp("csv") / "u.csv", "a,b" + newline + body)
     reference = read_csv_reference(path)
@@ -156,6 +173,39 @@ def test_reader_agrees_with_per_cell_reference(tmp_path_factory, rows, newline):
             load_unlabeled_csv(path)
     else:
         _assert_rejected_at(path, reference.bad_line, reference.bad_column)
+
+
+def _rows(count, newline="\n"):
+    return "".join(f"{i},{i / 7!r}{newline}" for i in range(count))
+
+
+# (id, file text, expected) as in EDGE_CASES, read in blocks of 3 rows
+SMALL_BLOCK_CASES = [
+    ("blank_line_at_block_edge", "a,b\n" + _rows(3) + "\n\r\n" + _rows(5), OK),
+    ("crlf", "a,b\r\n" + _rows(8, "\r\n"), OK),
+    ("cr_only", "a,b\r" + _rows(8, "\r"), OK),
+    ("no_final_newline", "a,b\n" + _rows(8).rstrip("\n"), OK),
+    ("bom", "\ufeffa,b\n" + _rows(8), OK),
+    ("quoted_cells_in_block_3", "a,b\n" + _rows(7) + '"7"," 8"\n' + _rows(2), OK),
+    ("quoted_newline_in_block_2", "a,b\n" + _rows(4) + '"4\n",5\n' + _rows(4), OK),
+    # line 11: the header, 8 rows and a blank line come before it
+    ("bad_cell_in_block_3", "a,b\n" + _rows(4) + "\n" + _rows(4) + "8,zap\n" + _rows(2),
+     bad_cell(11, "b")),
+    ("short_row_in_block_3", "a,b\r\n" + _rows(7, "\r\n") + "7\r\n", bad_width(9)),
+    ("whitespace_line_in_block_2", "a,b\n" + _rows(4) + " \n" + _rows(4), bad_width(6)),
+    # past the text layer's first 8 KiB, which the header read decodes
+    ("latin1_in_a_later_block", ("a,b\n" + _rows(1000)).encode() + b"1000,\xe9\n",
+     rejected("line 1002 is not valid UTF-8")),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [case[1:] for case in SMALL_BLOCK_CASES],
+    ids=[case[0] for case in SMALL_BLOCK_CASES],
+)
+def test_small_blocks_match_per_cell_reference(tmp_path, monkeypatch, text, expected):
+    monkeypatch.setattr(ssmean.data, "BLOCK_ROWS", 3)
+    test_edge_case_matches_per_cell_reference(tmp_path, text, expected)
 
 
 def test_bad_cell_deep_in_a_large_file_is_named(tmp_path):

@@ -83,6 +83,17 @@ class TestStudentT:
             with pytest.raises(InvalidParameterError):
                 TComponent(df=2, location=location, scale_sq=scale_sq)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["t", "point-mass"])
+    def test_array_component_must_match_the_count(self, scale):
+        scalar = TComponent(df=3, location=0.0, scale_sq=1.0)
+        wide = TComponent(df=3, location=np.zeros(4), scale_sq=np.full(4, scale))
+        for sample in (lambda: sample_student_t(wide, 5, RNG),
+                       lambda: sample_convolution(scalar, wide, 5, RNG),
+                       lambda: sample_convolution(wide, scalar, 5, RNG)):
+            with pytest.raises(InvalidParameterError, match="shape"):
+                sample()
+        assert sample_student_t(wide, 4, RNG).shape == (4,)
+
 
 class TestBatchStudentT:
     def test_matches_point_mass_rows(self):
