@@ -47,6 +47,7 @@ from .simulation import (
     oracle_ore,
     oracle_ore_star,
     run_method,
+    run_methods,
     run_replications,
 )
 
@@ -81,6 +82,7 @@ __all__ = [
     "oracle_ore",
     "oracle_ore_star",
     "run_method",
+    "run_methods",
     "run_replications",
     "sample_convolution",
     "sample_quantile",

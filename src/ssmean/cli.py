@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _blas
-from .data import Dataset, validate_dataset
+from .data import Dataset
 from .errors import ConfigError, DataError, NumericalError, SsmeanError
-from .io import load_labeled_csv, load_unlabeled_csv, open_csv, write_json_atomic, write_text_atomic
+from .io import load_labeled_csv, open_csv, write_json_atomic, write_text_atomic
 from .nuisance import GibbsConfig, make_fitter
 from .rng import GENERATOR_NAME, RngStream
 from .simulation import (
@@ -36,6 +36,7 @@ from .simulation import (
     emit_density_data,
     parse_method_spec,
     run_method,
+    run_methods,
     run_replications,
 )
 
@@ -200,7 +201,7 @@ def parse_config(
     )
 
 
-def _load_dataset(config: RunConfig, needs_unlabeled: bool, stream: bool = False) -> Dataset:
+def _load_dataset(config: RunConfig, needs_unlabeled: bool) -> Dataset:
     if config.labeled is None:
         raise ConfigError("a labeled CSV is required (--labeled or config key 'labeled')")
     if needs_unlabeled and config.unlabeled is None:
@@ -210,10 +211,8 @@ def _load_dataset(config: RunConfig, needs_unlabeled: bool, stream: bool = False
     outcomes, features, names = load_labeled_csv(config.labeled)
     if not needs_unlabeled:
         return Dataset(outcomes, features, np.zeros((0, features.shape[1])))
-    if stream:  # the header is checked and the rows counted; the estimator parses them
-        return Dataset(outcomes, features, open_csv(config.unlabeled, expected_names=names))
-    unlabeled, _ = load_unlabeled_csv(config.unlabeled, expected_names=names)
-    return validate_dataset(np.column_stack([outcomes, features]), unlabeled)
+    # the header is checked and the rows counted; the estimators parse them after their fits
+    return Dataset(outcomes, features, open_csv(config.unlabeled, expected_names=names))
 
 
 def _write_report(config: RunConfig, results: dict, **extra) -> Path:
@@ -241,22 +240,23 @@ def _write_report(config: RunConfig, results: dict, **extra) -> Path:
 def cmd_estimate(config: RunConfig) -> Path:
     """Run one method on ingested data and write a JSON report."""
     spec, = config.methods
-    data = _load_dataset(config, needs_unlabeled=spec != SUPERVISED, stream=True)
+    data = _load_dataset(config, needs_unlabeled=spec != SUPERVISED)
     rng = RngStream(config.seed)
     result = run_method(spec, data, config.k, config.m, config.alpha, config.gibbs, rng)
     return _write_report(config, {spec: result})
 
 
 def cmd_compare(config: RunConfig) -> Path:
-    """Run supervised plus the requested methods on the same data and seed family."""
+    """Run supervised plus the requested methods on the same data and seed family.
+
+    Every method's fits come first; the unlabeled file is then parsed once
+    for all of them.
+    """
     data = _load_dataset(config, needs_unlabeled=True)
     base = RngStream(config.seed)
     # the supervised method draws from substream 0, the listed methods from 1, 2, ...
-    results = {
-        spec: run_method(spec, data, config.k, config.m, config.alpha, config.gibbs,
-                         base.substream(i))
-        for i, spec in enumerate((SUPERVISED, *config.methods))
-    }
+    streams = {spec: base.substream(i) for i, spec in enumerate((SUPERVISED, *config.methods))}
+    results = run_methods(streams, data, config.k, config.m, config.alpha, config.gibbs)
     lengths = {spec: result.ci[1] - result.ci[0] for spec, result in results.items()}
     rl = {spec: lengths[SUPERVISED] / length if length > 0 else None
           for spec, length in lengths.items()}

@@ -8,6 +8,9 @@ unlabeled rows (``imp``).
 
 Fold pipelines draw from substreams keyed by fold index, so sequential and
 parallel execution of the folds produce identical output for a fixed seed.
+Each method runs its fits first; one pass over the unlabeled rows, read in
+blocks, then feeds it and any other methods run on the same rows
+(``unlabeled_pass``), and each samples last.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "hbdmi_cf",
     "supervised_posterior",
     "imputation_posterior",
+    "unlabeled_pass",
+    "STARTS",
 ]
 
 MIN_POSTERIOR_DRAWS = 100
@@ -179,76 +184,78 @@ def _result(method: str, draws: np.ndarray, point: float, alpha: float,
     )
 
 
-@_blas.one_thread()
-def _cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, rng) -> EstimationResult:
-    """The cross-fitting loop of ``bdmi`` and ``hbdmi``.
+def unlabeled_pass(unlabeled, started: list) -> list[EstimationResult]:
+    """Feed the unlabeled rows, read once in blocks, to every started method; finish each.
+
+    A method's start runs its fits and every draw that needs no unlabeled
+    row, and returns ``(add, finish)``: ``add(block, start)`` takes a block
+    of rows whose first is row ``start``, and ``finish()`` samples and
+    returns the method's ``EstimationResult``.  The rows are read even when
+    no method needs them, so a bad row is reported whatever the methods.
+    """
+    start = 0
+    for block in row_blocks(unlabeled):
+        for add, _ in started:
+            add(block, start)
+        start += len(block)
+    return [finish() for _, finish in started]
+
+
+def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, rng):
+    """The start of ``bdmi`` and ``hbdmi``: the fold plan and every fold's fit.
 
     Each fold fits the nuisance on its labeled complement, and
     ``start_fold(fit, k, labeled_rows, n_draws, fold_rng)`` returns
     ``add(block, rows)``, given each block of unlabeled rows and the fold's
-    rows in it, read once after every fold's fit, and ``finish()``, which
-    returns the fold's n_draws posterior samples, its bias and imputed
-    locations at the point estimate, and its diagnostics.
-    Aggregated draws are the across-fold averages; the point estimate is the
-    size-weighted combination of the fold locations.
+    rows in it, and ``finish()``, which returns the fold's n_draws posterior
+    samples, its bias and imputed locations at the point estimate, and its
+    diagnostics.  Aggregated draws are the across-fold averages; the point
+    estimate is the size-weighted combination of the fold locations.
     """
     n_draws = _check_draw_count(n_draws)
     plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
+    # each unlabeled row's fold: one or two bytes a row, where the plan's indices take eight
+    fold_of = np.empty(data.n_unlabeled, dtype=np.min_scalar_type(plan.n_folds - 1))
     folds = []
-    for k, (train, test_l) in enumerate(zip(plan.train_sets, plan.labeled_folds)):
+    for k, (train, test_l, test_u) in enumerate(
+        zip(plan.train_sets, plan.labeled_folds, plan.unlabeled_folds)
+    ):
+        fold_of[test_u] = k
         fold_rng = rng.substream(k + 1)
         try:
             fit = fitter(data.features[train], data.outcomes[train], fold_rng.substream(_FIT))
         except SsmeanError as exc:
             exc.args = (f"fold {k}: {exc}",)
             raise
-        folds.append((*start_fold(fit, k, test_l, n_draws, fold_rng), fit.metadata))
-    start = 0
-    for block in row_blocks(data.unlabeled_features):
-        for rows, (add, _, _) in zip(plan.unlabeled_folds, folds):
-            lo, hi = np.searchsorted(rows, [start, start + len(block)])  # rows are sorted
-            add(block, rows[lo:hi] - start)
-        start += len(block)
-    per_fold = np.empty((plan.n_folds, n_draws))
-    bias_total = 0.0
-    imputed_total = 0.0
-    fold_diags = []
-    for k, ((_, finish, metadata), test_l, test_u) in enumerate(
-        zip(folds, plan.labeled_folds, plan.unlabeled_folds)
-    ):
-        per_fold[k], bias, imputed, diag = finish()
-        bias_total += len(test_l) * bias
-        imputed_total += len(test_u) * imputed
-        fold_diags.append({"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u),
-                           **diag, "nuisance": metadata})
-    diagnostics = _base_diagnostics(method, data, rng, n_draws, alpha)
-    diagnostics["n_folds"] = plan.n_folds
-    diagnostics["folds"] = fold_diags
-    point = bias_total / data.n + imputed_total / data.n_unlabeled
-    return _result(method, per_fold.mean(axis=0), point, alpha, diagnostics)
+        sizes = {"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u)}
+        folds.append((*start_fold(fit, k, test_l, n_draws, fold_rng), sizes, fit.metadata))
+        del fit  # the fold's start kept what it needs, so the next fit does not wait beside it
+
+    def add(block, start):
+        labels = fold_of[start : start + len(block)]
+        for k, (add_fold, *_) in enumerate(folds):
+            add_fold(block, np.flatnonzero(labels == k))
+
+    def finish():
+        per_fold = np.empty((len(folds), n_draws))
+        bias_total = 0.0
+        imputed_total = 0.0
+        fold_diags = []
+        for k, (_, finish_fold, sizes, metadata) in enumerate(folds):
+            per_fold[k], bias, imputed, diag = finish_fold()
+            bias_total += sizes["n_labeled"] * bias
+            imputed_total += sizes["n_unlabeled"] * imputed
+            fold_diags.append({**sizes, **diag, "nuisance": metadata})
+        diagnostics = _base_diagnostics(method, data, rng, n_draws, alpha)
+        diagnostics["n_folds"] = len(folds)
+        diagnostics["folds"] = fold_diags
+        point = bias_total / data.n + imputed_total / data.n_unlabeled
+        return _result(method, per_fold.mean(axis=0), point, alpha, diagnostics)
+
+    return add, finish
 
 
-def bdmi_cf(
-    data: Dataset,
-    n_folds: int,
-    fitter: Fitter,
-    n_draws: int,
-    alpha: float,
-    rng: RngStream,
-) -> EstimationResult:
-    """Cross-fitted debiased posterior: one nuisance draw per fold.
-
-    Each fold fits the nuisance on its labeled complement, draws one
-    regression function, forms the fold's t-convolution posterior on the
-    held-out rows, and contributes n_draws samples; aggregated draws are the
-    across-fold averages.  The draw is evaluated over each block of
-    unlabeled rows and the fold keeps its own rows' predictions, so the
-    unlabeled rows enter only through those N predictions.  The point
-    estimate is the size-weighted closed-form combination of the fold
-    centers, which equals the grand means of the residuals over the labeled
-    data and the predictions over the unlabeled data.
-    """
-
+def _start_bdmi(data, fitter, n_folds, n_draws, alpha, rng):
     def start_fold(fit, k, test_l, n_draws, fold_rng):
         draw = _check_width(fit.sample_many(1, fold_rng.substream(_NUISANCE_DRAW)), data.p)[0]
         preds = []
@@ -267,7 +274,26 @@ def bdmi_cf(
 
         return (lambda block, local: preds.append(_predict(draw, block)[local])), finish
 
-    return _cross_fit("bdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
+    return _start_cross_fit("bdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
+
+
+@_blas.one_thread()
+def bdmi_cf(data: Dataset, n_folds: int, fitter: Fitter, n_draws: int, alpha: float,
+            rng: RngStream) -> EstimationResult:
+    """Cross-fitted debiased posterior: one nuisance draw per fold.
+
+    Each fold fits the nuisance on its labeled complement, draws one
+    regression function, forms the fold's t-convolution posterior on the
+    held-out rows, and contributes n_draws samples; aggregated draws are the
+    across-fold averages.  The draw is evaluated over each block of
+    unlabeled rows and the fold keeps its own rows' predictions, so the
+    unlabeled rows enter only through those N predictions.  The point
+    estimate is the size-weighted closed-form combination of the fold
+    centers, which equals the grand means of the residuals over the labeled
+    data and the predictions over the unlabeled data.
+    """
+    started = _start_bdmi(data, fitter, n_folds, n_draws, alpha, rng)
+    return unlabeled_pass(data.unlabeled_features, [started])[0]
 
 
 class _Scatter:
@@ -337,39 +363,32 @@ def _fold_moments(
     return mu_bias, scale_bias, mu_imp, scale_imp
 
 
-def hbdmi_cf(
-    data: Dataset,
-    n_folds: int,
-    fitter: Fitter,
-    n_draws: int,
-    alpha: float,
-    rng: RngStream,
-) -> EstimationResult:
-    """Hierarchical variant: a fresh nuisance draw for every posterior sample.
+def _held_bytes(fit) -> int:
+    """Bytes of the arrays a fit holds, such as a Gibbs fit's retained sweeps."""
+    return sum(value.nbytes for value in vars(fit).values() if isinstance(value, np.ndarray))
 
-    Per fold, n_draws regression functions are drawn; each induces its own
-    fold posterior from which a single sample is taken.  The fold moments of
-    all draws come from two R factors of the centred fold data (see
-    ``_fold_moments``), not from n_draws x n_u prediction matrices; the
-    unlabeled one is merged block by block (see ``_Scatter``).  The
-    point estimate plugs the nuisance posterior mean, taken as one more row
-    of the same moments, into the fold-center formula (size-weighted across
-    folds).
-    """
+
+def _start_hbdmi(data, fitter, n_folds, n_draws, alpha, rng):
     labeled = np.column_stack([data.outcomes, data.features])
 
     def start_fold(fit, k, test_l, n_draws, fold_rng):
         mean_row = _check_width(fit.posterior_mean(), data.p)
+
+        def draw():
+            return np.vstack([_check_width(
+                fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p), mean_row])
+
+        # the fold holds the smaller of its fit and its draws through the pass: a linear
+        # fit is a vector and a square factor, a Gibbs fit its retained sweeps
+        rows = None
+        if _held_bytes(fit) > (n_draws + 1) * (data.p + 1) * 8:
+            rows, fit = draw(), None
         labeled_scatter, unlabeled_scatter = _Scatter(data.p + 1), _Scatter(data.p)
         labeled_scatter.add(labeled, test_l)
 
         def finish():
-            # drawn once the rows are read: K folds' n_draws rows would wait for them
-            # beside each other, and a linear fit is far smaller
-            rows = np.vstack([_check_width(
-                fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p), mean_row])
             mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
-                rows, labeled_scatter, unlabeled_scatter
+                draw() if rows is None else rows, labeled_scatter, unlabeled_scatter
             )
             draws = sample_student_t_each(
                 len(test_l) - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
@@ -385,7 +404,26 @@ def hbdmi_cf(
 
         return unlabeled_scatter.add, finish
 
-    return _cross_fit("hbdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
+    return _start_cross_fit("hbdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
+
+
+@_blas.one_thread()
+def hbdmi_cf(data: Dataset, n_folds: int, fitter: Fitter, n_draws: int, alpha: float,
+             rng: RngStream) -> EstimationResult:
+    """Hierarchical variant: a fresh nuisance draw for every posterior sample.
+
+    Per fold, n_draws regression functions are drawn; each induces its own
+    fold posterior from which a single sample is taken.  The fold moments of
+    all draws come from two R factors of the centred fold data (see
+    ``_fold_moments``), not from n_draws x n_u prediction matrices; the
+    unlabeled one is merged block by block (see ``_Scatter``).  The
+    point estimate plugs the nuisance posterior mean, taken as one more row
+    of the same moments, into the fold-center formula (size-weighted across
+    folds).  A fold's rows are drawn after the pass over the unlabeled rows,
+    unless its fit holds more numbers than they do.
+    """
+    started = _start_hbdmi(data, fitter, n_folds, n_draws, alpha, rng)
+    return unlabeled_pass(data.unlabeled_features, [started])[0]
 
 
 def supervised_posterior(
@@ -405,14 +443,32 @@ def supervised_posterior(
     return _result("sup", draws, ybar, alpha, diagnostics)
 
 
+def _start_supervised(data, fitter, n_folds, n_draws, alpha, rng):
+    return (lambda block, start: None), (lambda: supervised_posterior(data, n_draws, alpha, rng))
+
+
+def _start_imputation(data, fitter, n_folds, n_draws, alpha, rng):
+    n_draws = _check_draw_count(n_draws)
+    fit = fitter(data.features, data.outcomes, rng.substream(1))
+    rows = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p)
+    mean_row = _check_width(fit.posterior_mean(), data.p)
+    metadata = fit.metadata
+    total = np.zeros(data.p)
+
+    def finish():
+        aug_mean = np.concatenate([[1.0], total / data.n_unlabeled])
+        draws = rows @ aug_mean
+        point = float(mean_row @ aug_mean)
+        diagnostics = _base_diagnostics("imp", data, rng, n_draws, alpha)
+        diagnostics["nuisance"] = metadata
+        return _result("imp", draws, point, alpha, diagnostics)
+
+    return (lambda block, start: np.add(total, block.sum(axis=0), out=total)), finish
+
+
 @_blas.one_thread()
-def imputation_posterior(
-    data: Dataset,
-    fitter: Fitter,
-    n_draws: int,
-    alpha: float,
-    rng: RngStream,
-) -> EstimationResult:
+def imputation_posterior(data: Dataset, fitter: Fitter, n_draws: int, alpha: float,
+                         rng: RngStream) -> EstimationResult:
     """Imputation baseline: average nuisance predictions over the unlabeled rows.
 
     The nuisance is fitted on all labeled rows (no splitting); each posterior
@@ -433,14 +489,11 @@ def imputation_posterior(
     labeled-sample mean residual is not zero, such as one whose prior also
     shrinks the intercept.
     """
-    n_draws = _check_draw_count(n_draws)
-    fit = fitter(data.features, data.outcomes, rng.substream(1))
-    rows = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p)
-    mean_row = _check_width(fit.posterior_mean(), data.p)
-    total = sum(block.sum(axis=0) for block in row_blocks(data.unlabeled_features))
-    aug_mean = np.concatenate([[1.0], total / data.n_unlabeled])
-    draws = rows @ aug_mean
-    point = float(mean_row @ aug_mean)
-    diagnostics = _base_diagnostics("imp", data, rng, n_draws, alpha)
-    diagnostics["nuisance"] = fit.metadata
-    return _result("imp", draws, point, alpha, diagnostics)
+    started = _start_imputation(data, fitter, None, n_draws, alpha, rng)
+    return unlabeled_pass(data.unlabeled_features, [started])[0]
+
+
+# method family -> start(data, fitter, n_folds, n_draws, alpha, rng), which runs the
+# method's work before the unlabeled rows are read (see ``unlabeled_pass``)
+STARTS = {"sup": _start_supervised, "bdmi": _start_bdmi, "hbdmi": _start_hbdmi,
+          "imp": _start_imputation}

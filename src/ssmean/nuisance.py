@@ -409,7 +409,10 @@ def fit_spike_slab(
     zr = Z.T @ y_c
 
     total = config.burn_in + config.sweeps
-    kept_rows = np.zeros((config.sweeps, k))
+    # retained sweeps go straight into the draws' coefficient columns, so that no
+    # second sweeps x k array waits beside the draws
+    draws_std = np.zeros((config.sweeps, k + 1))
+    kept_rows = draws_std[:, 1:]
     kept_sigma = np.zeros(config.sweeps)
     kept_gamma = np.zeros((config.sweeps, k), dtype=bool)
 
@@ -454,8 +457,7 @@ def fit_spike_slab(
                 kept_gamma[idx] = gamma
 
     inclusion[keep] = kept_gamma.mean(axis=0)
-    intercepts = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)
-    draws_std = np.column_stack([intercepts, kept_rows])
+    draws_std[:, 0] = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)
     draws = draws_std @ T.T
     meta["slab_scale"] = g_slab
     meta["inclusion_frequency_max"] = float(inclusion.max())

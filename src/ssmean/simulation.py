@@ -23,11 +23,13 @@ from . import _blas
 from .data import Dataset
 from .errors import InvalidParameterError, SsmeanError
 from .estimators import (
+    STARTS,
     EstimationResult,
     bdmi_cf,
     hbdmi_cf,
     imputation_posterior,
     supervised_posterior,
+    unlabeled_pass,
 )
 from .nuisance import GibbsConfig, make_fitter
 from .rng import RngStream
@@ -38,6 +40,7 @@ __all__ = [
     "ESTIMATORS",
     "parse_method_spec",
     "run_method",
+    "run_methods",
     "signal_coefficients",
     "generate_dataset",
     "oracle_ore",
@@ -300,6 +303,24 @@ def run_method(
     family, nuisance = parse_method_spec(spec)
     fitter = None if nuisance is None else make_fitter(nuisance, gibbs)
     return ESTIMATORS[family](data, fitter, n_folds, n_draws, alpha, rng)
+
+
+@_blas.one_thread()
+def run_methods(streams: dict[str, RngStream], data: Dataset, n_folds: int, n_draws: int,
+                alpha: float, gibbs: GibbsConfig) -> dict[str, EstimationResult]:
+    """Run each spec on its stream, all on one dataset, reading its unlabeled rows once.
+
+    Every spec's fits and the draws that need no unlabeled row run first, in
+    order; then one pass over the unlabeled rows feeds them all, and each
+    spec samples.  Each result equals ``run_method``'s for its spec and
+    stream.
+    """
+    started = []
+    for spec, rng in streams.items():
+        family, nuisance = parse_method_spec(spec)
+        fitter = None if nuisance is None else make_fitter(nuisance, gibbs)
+        started.append(STARTS[family](data, fitter, n_folds, n_draws, alpha, rng))
+    return dict(zip(streams, unlabeled_pass(data.unlabeled_features, started)))
 
 
 def _replicate(design: SimDesign, rep: int, keep_draws: bool) -> list[tuple]:

@@ -5,13 +5,24 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ssmean.data
 import ssmean.io
-from ssmean import RngStream, SimDesign, generate_dataset
+from ssmean import (
+    Dataset,
+    GibbsConfig,
+    RngStream,
+    SimDesign,
+    generate_dataset,
+    run_method,
+    run_methods,
+    validate_dataset,
+)
 from ssmean.cli import main, parse_config
 from ssmean.errors import ConfigError, DataError, ValidationError
-from ssmean.io import load_labeled_csv, load_unlabeled_csv
+from ssmean.io import load_labeled_csv, load_unlabeled_csv, open_csv
 
 
 def _write(path, text):
@@ -131,7 +142,6 @@ class TestConfigFaults:
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):
         monkeypatch.setattr("ssmean.cli.load_labeled_csv", _no_csv)
-        monkeypatch.setattr("ssmean.cli.load_unlabeled_csv", _no_csv)
         monkeypatch.setattr("ssmean.cli.open_csv", _no_csv)
         if command != "simulate":
             # readable files, so only the config can stop the run
@@ -319,15 +329,21 @@ def budget_csvs(tmp_path_factory):
 
 
 def _estimate_peak(tmp_path, csvs, method):
-    """The traced peak of an in-process estimate, in bytes.
+    """The traced peak of an in-process estimate, or of a compare of all three
+    methods when ``method`` is "compare", in bytes.
 
     numpy reports its buffers to tracemalloc, so this counts what the run
     allocates, not the interpreter and modules loaded before.
     """
     labeled, unlabeled, _ = csvs
-    args = ["estimate", "--labeled", labeled, "--unlabeled", unlabeled, "--method", method,
-            "--nuisance", "bols", "--k", "5", "--m", "1000", "--seed", "1",
-            "--out", str(tmp_path / "report.json")]
+    args = ["--labeled", labeled, "--unlabeled", unlabeled, "--k", "5", "--m", "1000",
+            "--seed", "1", "--out", str(tmp_path / "report.json")]
+    if method == "compare":
+        config = tmp_path / "compare.json"
+        config.write_text(json.dumps({"methods": ["bdmi:bols", "hbdmi:bols", "imp:bols"]}))
+        args = ["compare", "--config", str(config), *args]
+    else:
+        args = ["estimate", "--method", method, "--nuisance", "bols", *args]
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
@@ -338,16 +354,17 @@ def _estimate_peak(tmp_path, csvs, method):
         tracemalloc.stop()
 
 
-# Measured at 40 000 x 20, K = 5: bdmi 0.23, imp 0.15, hbdmi 0.21 unlabeled matrices (1.15,
-# 1.15 and 1.17 when the matrix was read whole).  bdmi holds the fold plan and its N
-# predictions, 16 bytes a row, hbdmi the plan and K fits, and all three one parsed block.
-@pytest.mark.parametrize("method", ["bdmi", "imp", "hbdmi"])
+# Measured at 40 000 x 20, K = 5: bdmi 0.19, imp 0.15, hbdmi 0.15 and a compare of all three
+# 0.25 unlabeled matrices (1.15, 1.15, 1.17 and 1.19 when the matrix was read whole).  bdmi
+# holds each row's fold and its N predictions, 9 bytes a row, hbdmi the fold of each row and
+# K fits, and each run one parsed block.
+@pytest.mark.parametrize("method", ["bdmi", "imp", "hbdmi", "compare"])
 def test_estimate_holds_a_fraction_of_the_unlabeled_matrix(tmp_path, budget_csvs, method):
     ratio = _estimate_peak(tmp_path, budget_csvs, method) / budget_csvs[2].unlabeled_features.nbytes
     assert ratio <= 0.35, f"traced peak is {ratio:.2f} unlabeled matrices"
 
 
-@pytest.mark.parametrize("method", ["bdmi", "imp", "hbdmi"])
+@pytest.mark.parametrize("method", ["bdmi", "imp", "hbdmi", "compare"])
 def test_estimate_peak_is_flat_in_the_unlabeled_rows(tmp_path, budget_csvs, method):
     # a quarter of the 40 000 rows, of the same width
     small = _synthetic_csvs(tmp_path, n=400, n_unlabeled=10_000, p=20)
@@ -385,6 +402,50 @@ class TestCompareCommand:
         results = json.loads(out.read_text())["results"]
         warned = {m for m, r in results.items() if "warning_n_ge_unlabeled" in r["diagnostics"]}
         assert warned == {"bdmi:bols", "hbdmi:bols", "imp:bols"}
+
+    def test_one_pass_matches_each_method_on_the_matrix(self, tmp_path, monkeypatch):
+        # 29 blocks of 7 rows; 300 retained sweeps outweigh 200 + 1 draws, so hbdmi:spike
+        # draws its rows before the pass and hbdmi:bols after it
+        monkeypatch.setattr(ssmean.data, "BLOCK_ROWS", 7)
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path, n=60, n_unlabeled=200, p=3)
+        outcomes, features, names = load_labeled_csv(labeled)
+        streamed = Dataset(outcomes, features, open_csv(unlabeled, expected_names=names))
+        matrix = validate_dataset(np.column_stack([outcomes, features]),
+                                  load_unlabeled_csv(unlabeled)[0])
+        specs = ["sup", "bdmi:bols", "hbdmi:bols", "imp:bols", "bdmi:spike", "hbdmi:spike"]
+        gibbs = GibbsConfig(burn_in=50, sweeps=300)
+        streams = {spec: RngStream(9).substream(i) for i, spec in enumerate(specs)}
+        results = run_methods(streams, streamed, 3, 200, 0.1, gibbs)
+        assert list(results) == specs
+        for spec, rng in streams.items():
+            alone = run_method(spec, matrix, 3, 200, 0.1, gibbs, rng)
+            np.testing.assert_array_equal(results[spec].draws, alone.draws)
+            assert results[spec].point_estimate == alone.point_estimate
+            assert results[spec].ci == alone.ci
+
+    @pytest.mark.parametrize(
+        "methods, singular, code, named",
+        [([], False, 3, "line 18, column 'x0'"),
+         (["bdmi:bols", "hbdmi:bols", "imp:bols"], False, 3, "line 18, column 'x0'"),
+         (["bdmi:bols", "hbdmi:bols", "imp:bols"], True, 4, "numerical failure")],
+        ids=["sup-only", "three-methods", "singular-design"],
+    )
+    def test_bad_cell_in_the_third_block(self, tmp_path, monkeypatch, capsys, methods,
+                                         singular, code, named):
+        # the body is parsed once whatever the methods, after every method's fits
+        monkeypatch.setattr(ssmean.data, "BLOCK_ROWS", 7)
+        n, p = (16, 30) if singular else (80, 2)
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path, n=n, n_unlabeled=40, p=p)
+        lines = Path(unlabeled).read_text().splitlines(keepends=True)
+        lines[17] = ",".join(["zap"] * p) + "\n"  # line 18: data row 17, in rows 15-21
+        Path(unlabeled).write_text("".join(lines))
+        out = tmp_path / "cmp.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"labeled": labeled, "unlabeled": unlabeled, "k": 4,
+                                      "m": 200, "methods": methods, "out": str(out)}))
+        assert main(["compare", "--config", str(config)]) == code
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_nuisance_degenerate_pair(self, tmp_path):
         labeled, unlabeled, data = _synthetic_csvs(tmp_path)

@@ -1,6 +1,7 @@
 """CSV ingest: the numpy fast path must accept and reject exactly what the
 per-cell ``float()`` reading accepts and rejects, naming the same line and column."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -214,6 +215,25 @@ def test_bad_cell_deep_in_a_large_file_is_named(tmp_path):
     path = _write(tmp_path / "u.csv", "\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="line 40001, column 'b'"):
         load_unlabeled_csv(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_chunks_in_is_named_by_its_line_at_a_small_peak(tmp_path, newline):
+    # about 2 MB; the Latin-1 byte sits about 22 of the error path's 64 KiB chunks in
+    rows = [f"{i},{i / 7!r}" for i in range(80_000)]
+    rows[60_000] = "60000,\xe9"  # line 60002 of the file: the header is line 1
+    path = tmp_path / "u.csv"
+    path.write_bytes(newline.join(["a,b", *rows, ""]).encode("latin-1"))
+    with pytest.raises(DataError, match=r"line 60002 is not valid UTF-8 \(byte 0xe9\)"):
+        load_unlabeled_csv(path)
+    tracemalloc.start()
+    try:
+        message = str(ssmean.io._not_utf8(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "line 60002 is not valid UTF-8 (byte 0xe9)" in message
+    assert peak < path.stat().st_size / 4, f"traced peak {peak} bytes"
 
 
 def test_clean_file_skips_per_cell_parser(tmp_path, monkeypatch):
