@@ -214,7 +214,7 @@ def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, 
     """
     n_draws = _check_draw_count(n_draws)
     plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
-    # each unlabeled row's fold: one or two bytes a row, where the plan's indices take eight
+    # each unlabeled row's fold, a byte a row up to 256 folds where the plan's indices take 8
     fold_of = np.empty(data.n_unlabeled, dtype=np.min_scalar_type(plan.n_folds - 1))
     folds = []
     for k, (train, test_l, test_u) in enumerate(
