@@ -7,88 +7,42 @@ bias of each sampled regression on held-out data, and aggregates the
 per-fold Student-t convolution posteriors into a single posterior for the
 mean.  Baselines (supervised-only and plain imputation), synthetic-data
 experiments, and a CLI are included.
+
+Each public name below is imported from its submodule on first use, so that
+``import ssmean`` loads no numpy: the CLI loads numpy itself, with OpenBLAS
+on one thread (see ``ssmean._blas``).
 """
 
-from .data import Dataset, FoldPlan, make_fold_plan, validate_dataset
-from .estimators import (
-    EstimationResult,
-    FoldPosterior,
-    bdmi_cf,
-    credible_interval,
-    fold_posterior,
-    hbdmi_cf,
-    imputation_posterior,
-    supervised_posterior,
-)
-from .nuisance import (
-    GibbsConfig,
-    NuisancePosterior,
-    constant_nuisance,
-    fit_bols,
-    fit_bridge,
-    fit_spike_slab,
-    make_fitter,
-    zero_nuisance,
-)
-from .rng import GENERATOR_NAME, RngStream
-from .sampling import (
-    TComponent,
-    sample_convolution,
-    sample_quantile,
-    sample_student_t,
-    sample_student_t_each,
-)
-from .simulation import (
-    SimDesign,
-    SimulationResults,
-    emit_density_data,
-    generate_dataset,
-    mc_oracle_variances,
-    oracle_ore,
-    oracle_ore_star,
-    run_method,
-    run_methods,
-    run_replications,
-)
+import importlib
+
+_EXPORTS = {
+    "data": ("Dataset", "FoldPlan", "make_fold_plan", "validate_dataset"),
+    "estimators": ("EstimationResult", "FoldPosterior", "bdmi_cf", "credible_interval",
+                   "fold_posterior", "hbdmi_cf", "imputation_posterior",
+                   "supervised_posterior"),
+    "nuisance": ("GibbsConfig", "NuisancePosterior", "constant_nuisance", "fit_bols",
+                 "fit_bridge", "fit_spike_slab", "make_fitter", "zero_nuisance"),
+    "rng": ("GENERATOR_NAME", "RngStream"),
+    "sampling": ("TComponent", "sample_convolution", "sample_quantile", "sample_student_t",
+                 "sample_student_t_each"),
+    "simulation": ("SimDesign", "SimulationResults", "emit_density_data", "generate_dataset",
+                   "mc_oracle_variances", "oracle_ore", "oracle_ore_star", "run_method",
+                   "run_methods", "run_replications"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "EstimationResult",
-    "FoldPlan",
-    "FoldPosterior",
-    "GENERATOR_NAME",
-    "GibbsConfig",
-    "NuisancePosterior",
-    "RngStream",
-    "SimDesign",
-    "SimulationResults",
-    "TComponent",
-    "bdmi_cf",
-    "constant_nuisance",
-    "credible_interval",
-    "emit_density_data",
-    "fit_bols",
-    "fit_bridge",
-    "fit_spike_slab",
-    "fold_posterior",
-    "generate_dataset",
-    "hbdmi_cf",
-    "imputation_posterior",
-    "make_fitter",
-    "make_fold_plan",
-    "mc_oracle_variances",
-    "oracle_ore",
-    "oracle_ore_star",
-    "run_method",
-    "run_methods",
-    "run_replications",
-    "sample_convolution",
-    "sample_quantile",
-    "sample_student_t",
-    "sample_student_t_each",
-    "supervised_posterior",
-    "validate_dataset",
-    "zero_nuisance",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

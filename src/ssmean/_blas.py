@@ -7,7 +7,12 @@ any other copy mapped into the process (scipy bundles its own, should the
 caller have imported it) is set too, each through the setter and getter it
 exports.  A count the user chose through ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` was read by OpenBLAS when it loaded, and is left alone.
-Elsewhere than Linux nothing is changed.
+Elsewhere than Linux no library is found, and only the CLI's load applies.
+
+OpenBLAS starts its pool of threads when numpy loads it, and an idle pool
+thread spins for a while before it sleeps.  The CLI therefore loads numpy through ``load_numpy_on_one_thread``,
+which starts no pool thread.  A library ``import ssmean`` loads no numpy, so
+the caller's numpy keeps OpenBLAS's default count outside the estimators.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ _SYMBOLS = (
 def _openblas_threads() -> tuple[tuple, ...]:
     """(setter, getter) of each OpenBLAS mapped into this process.
 
-    Found once per process: importing ssmean has by then loaded numpy's,
-    the one its fits call, and reading the memory map on every estimator
-    call would cost milliseconds.  A copy loaded later (scipy's, say) is
-    not seen.
+    Found once per process, since reading the memory map on every estimator
+    call would cost milliseconds: numpy is loaded first, so its OpenBLAS,
+    the one the fits call, is always among them.  A copy loaded later
+    (scipy's, say) is not seen.
     """
     if not sys.platform.startswith("linux"):
         return ()
+    import numpy  # noqa: F401  (maps the OpenBLAS the fits call)
     with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
         # address, permissions, offset, device, inode, then the path if any
         rows = [line.rstrip("\n").split(maxsplit=5) for line in maps]
@@ -60,6 +66,22 @@ def _openblas_threads() -> tuple[tuple, ...]:
 def _env_choice() -> str | None:
     """The variable OpenBLAS took its thread count from, if one is set."""
     return next((name for name in _ENV_VARS if os.environ.get(name)), None)
+
+
+def load_numpy_on_one_thread() -> None:
+    """Import numpy with OpenBLAS started on one thread, unless the user chose a count.
+
+    ``OPENBLAS_NUM_THREADS=1`` is set only while numpy loads, so that
+    ``describe`` and child processes see the environment as the user left
+    it.  Once numpy is loaded, its OpenBLAS has started, and nothing is done.
+    """
+    if "numpy" in sys.modules or _env_choice() is not None:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def describe() -> str:

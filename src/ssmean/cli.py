@@ -21,9 +21,12 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import _blas
+
+_blas.load_numpy_on_one_thread()  # before any module below imports numpy
+
 import numpy as np
 
-from . import _blas
 from .data import Dataset
 from .errors import ConfigError, DataError, NumericalError, SsmeanError
 from .io import load_labeled_csv, open_csv, write_json_atomic, write_text_atomic
@@ -307,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="posterior draws per run")
         p.add_argument("--alpha", type=float, help="credible-interval miss level")
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int, help="parallel workers for replications")
+        p.add_argument("--jobs", type=int,
+                       help="parallel workers for replications (estimate and compare ignore it)")
         p.add_argument("--out", help="output path (simulate: prefix for .json/.csv)")
     return parser
 

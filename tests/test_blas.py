@@ -1,8 +1,10 @@
 """OpenBLAS threads: one inside the CLI, the public estimators and
 replications, pooled or sequential, the count chosen through the environment
-kept, and reports the same either way."""
+kept, and reports the same either way.  The CLI loads OpenBLAS on one thread;
+a library import loads no numpy."""
 
 import concurrent.futures
+import importlib
 import json
 import multiprocessing
 import os
@@ -32,6 +34,22 @@ def _env_without_blas_vars():
     env = {k: v for k, v in os.environ.items() if k not in _blas._ENV_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return env
+
+
+def _run_json(script, **variables):
+    """The JSON that ``script`` prints, run by a fresh interpreter with only ``variables`` set."""
+    env = {**_env_without_blas_vars(), **variables}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def _skip_unless_threads_show():
+    if os.cpu_count() < 2 or not _blas._openblas_threads() or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs OpenBLAS, two cores and /proc/self/task")
+
+
+_THREADS = "len(os.listdir('/proc/self/task'))"
 
 
 @pytest.fixture
@@ -81,23 +99,61 @@ def test_nothing_found_changes_nothing(two_threads, monkeypatch):
     assert _counts(two_threads) == [2] * len(two_threads)
 
 
+def test_import_ssmean_loads_no_numpy_and_resolves_every_name():
+    loaded, names, listed = _run_json(
+        "import json, sys, ssmean\n"
+        "print(json.dumps(['numpy' in sys.modules, ssmean.__all__, dir(ssmean)]))\n"
+    )
+    assert not loaded
+    assert names and set(names) <= set(listed)
+    package = importlib.import_module("ssmean")
+    for name in names:
+        home = importlib.import_module(f"ssmean.{package._HOME[name]}")
+        assert getattr(package, name) is vars(home)[name], name
+    with pytest.raises(AttributeError):
+        package.no_such_name
+
+
+def test_cli_loads_openblas_on_one_thread():
+    _skip_unless_threads_show()
+    threads, variable_left, described = _run_json(
+        "import json, os, ssmean.cli\n"
+        "from ssmean import _blas\n"
+        f"print(json.dumps([{_THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ,\n"
+        "                  _blas.describe()]))\n"
+    )
+    assert (threads, variable_left, described) == (1, False, "BLAS threads: 1")
+
+
+def test_first_call_to_blas_finds_numpys_openblas():
+    # a lazy package has loaded no numpy when _blas is first asked
+    if not _blas._openblas_threads():
+        pytest.skip("no OpenBLAS is loaded")
+    before, after = _run_json(
+        "import json\n"
+        "from ssmean import _blas\n"
+        "before = _blas.describe()\n"
+        "_blas.set_one_thread()\n"
+        "print(json.dumps([before, _blas.describe()]))\n"
+    )
+    assert before != "BLAS threads: unknown"
+    assert after == "BLAS threads: 1"
+
+
 @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_count_from_environment_is_kept(variable):
-    if os.cpu_count() < 2 or not _blas._openblas_threads():
-        pytest.skip("needs OpenBLAS and two cores")
-    script = (
-        "import json, ssmean.cli\n"
+    _skip_unless_threads_show()
+    threads, inside, described = _run_json(
+        "import json, os, ssmean.cli\n"
         "from ssmean import _blas\n"
+        f"threads = {_THREADS}\n"
         "with _blas.one_thread():\n"
         "    _blas.set_one_thread()\n"
         "    inside = [g() for _, g in _blas._openblas_threads()]\n"
-        "    print(json.dumps([inside, _blas.describe()]))\n"
+        "    print(json.dumps([threads, inside, _blas.describe()]))\n",
+        **{variable: "2"},
     )
-    env = _env_without_blas_vars()
-    env[variable] = "2"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    inside, described = json.loads(done.stdout)
+    assert threads == 2
     assert inside and set(inside) == {2}
     assert described == f"BLAS threads: 2, from {variable}"
 
@@ -144,9 +200,7 @@ def test_sequential_replications_run_on_one_thread():
         "simulation.run_replications(design, jobs=1)\n"
         "print(json.dumps([before, sorted(set(seen)), len(seen), _blas.describe()]))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=_env_without_blas_vars(),
-                          capture_output=True, text=True, timeout=120, check=True)
-    before, inside, fits, after = json.loads(done.stdout)
+    before, inside, fits, after = _run_json(script)
     if before == "BLAS threads: 1":
         pytest.skip("OpenBLAS starts on one thread here")
     assert inside == ["BLAS threads: 1"] and fits == 6  # 2 replications x 3 folds
@@ -176,9 +230,7 @@ def test_estimators_run_on_one_thread():
         "imputation_posterior(data, counting('imp'), 100, 0.05, RngStream(3))\n"
         "print(json.dumps([before, seen, _blas.describe()]))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=_env_without_blas_vars(),
-                          capture_output=True, text=True, timeout=120, check=True)
-    before, seen, after = json.loads(done.stdout)
+    before, seen, after = _run_json(script)
     if before == "BLAS threads: 1":
         pytest.skip("OpenBLAS starts on one thread here")
     assert seen == {"bdmi": ["BLAS threads: 1"] * 4, "hbdmi": ["BLAS threads: 1"] * 4,
