@@ -10,9 +10,10 @@ exports.  A count the user chose through ``OPENBLAS_NUM_THREADS`` or
 Elsewhere than Linux no library is found, and only the CLI's load applies.
 
 OpenBLAS starts its pool of threads when numpy loads it, and an idle pool
-thread spins for a while before it sleeps.  The CLI therefore loads numpy through ``load_numpy_on_one_thread``,
-which starts no pool thread.  A library ``import ssmean`` loads no numpy, so
-the caller's numpy keeps OpenBLAS's default count outside the estimators.
+thread spins for a while before it sleeps.  The CLI therefore loads numpy
+through ``load_numpy_on_one_thread``, which starts no pool thread.  A library
+``import ssmean`` loads no numpy, so the caller's numpy keeps OpenBLAS's
+default count outside the estimators.
 """
 
 from __future__ import annotations

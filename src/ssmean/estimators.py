@@ -198,6 +198,7 @@ def unlabeled_pass(unlabeled, started: list) -> list[EstimationResult]:
         for add, _ in started:
             add(block, start)
         start += len(block)
+        del block  # not held while the next block is parsed
     return [finish() for _, finish in started]
 
 

@@ -164,6 +164,7 @@ class CsvRows:
                         break
                     done += size
                     yield block
+                    del block  # not held while the next block is parsed
                 else:
                     done += sum(1 for line in handle if line.strip("\r\n"))
                 if done < self.n_rows:

@@ -45,7 +45,8 @@ def _run_json(script, **variables):
 
 
 def _skip_unless_threads_show():
-    if os.cpu_count() < 2 or not _blas._openblas_threads() or not os.path.isdir("/proc/self/task"):
+    if (os.cpu_count() < 2 or not _blas._openblas_threads()
+            or not os.path.isdir("/proc/self/task")):
         pytest.skip("needs OpenBLAS, two cores and /proc/self/task")
 
 

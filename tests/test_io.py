@@ -14,6 +14,7 @@ import ssmean.data
 import ssmean.io
 from _oracles import read_csv_reference
 from ssmean.errors import DataError, NumericalError, ValidationError
+from ssmean.estimators import unlabeled_pass
 from ssmean.io import load_labeled_csv, load_unlabeled_csv, write_json_atomic
 
 
@@ -234,6 +235,28 @@ def test_non_utf8_byte_chunks_in_is_named_by_its_line_at_a_small_peak(tmp_path, 
         tracemalloc.stop()
     assert "line 60002 is not valid UTF-8 (byte 0xe9)" in message
     assert peak < path.stat().st_size / 4, f"traced peak {peak} bytes"
+
+
+def test_a_pass_holds_one_parsed_block_at_a_time(tmp_path):
+    # the reader and the pass each let a block go before the next is parsed: 1.08 blocks,
+    # against 2.08 when both held it through the next parse
+    width = 20
+    matrix = np.random.default_rng(0).normal(size=(4 * ssmean.data.BLOCK_ROWS, width))
+    path = tmp_path / "u.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(f"x{j}" for j in range(width)) + "\n")
+        np.savetxt(handle, matrix, delimiter=",", fmt="%.17g")
+    rows = ssmean.io.open_csv(path)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        unlabeled_pass(rows, [])
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    blocks = peak / (ssmean.data.BLOCK_ROWS * width * 8)
+    assert blocks < 1.5, f"traced peak is {blocks:.2f} blocks"
 
 
 def test_clean_file_skips_per_cell_parser(tmp_path, monkeypatch):
