@@ -45,9 +45,10 @@ def _openblas_threads() -> tuple[tuple, ...]:
         return ()
     import numpy  # noqa: F401  (maps the OpenBLAS the fits call)
     with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-        # address, permissions, offset, device, inode, then the path if any
-        rows = [line.rstrip("\n").split(maxsplit=5) for line in maps]
-    paths = sorted({row[5] for row in rows if len(row) == 6 and "openblas" in row[5]})
+        # address, permissions, offset, device, inode, then the path: only a path can
+        # hold the name, so only its lines are split
+        paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in maps
+                        if "openblas" in line})
     found = []
     for path in paths:
         try:
