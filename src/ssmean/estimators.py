@@ -369,6 +369,20 @@ def _held_bytes(fit) -> int:
     return sum(value.nbytes for value in vars(fit).values() if isinstance(value, np.ndarray))
 
 
+def _rows_after_the_pass(fit, draw, n_rows: int, p: int):
+    """``draw``, or the rows it draws now when the fit holds more bytes than they would.
+
+    A method whose n_rows x (p + 1) coefficient rows are needed only after
+    the unlabeled pass holds the smaller of its fit and its rows through it:
+    a linear fit is a vector and a square factor, a Gibbs fit its retained
+    sweeps.  ``draw`` must be the caller's only hold on the fit.
+    """
+    if _held_bytes(fit) > n_rows * (p + 1) * 8:
+        rows = draw()
+        return lambda: rows
+    return draw
+
+
 def _start_hbdmi(data, fitter, n_folds, n_draws, alpha, rng):
     labeled = np.column_stack([data.outcomes, data.features])
 
@@ -379,17 +393,13 @@ def _start_hbdmi(data, fitter, n_folds, n_draws, alpha, rng):
             return np.vstack([_check_width(
                 fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p), mean_row])
 
-        # the fold holds the smaller of its fit and its draws through the pass: a linear
-        # fit is a vector and a square factor, a Gibbs fit its retained sweeps
-        rows = None
-        if _held_bytes(fit) > (n_draws + 1) * (data.p + 1) * 8:
-            rows, fit = draw(), None
+        rows = _rows_after_the_pass(fit, draw, n_draws + 1, data.p)
         labeled_scatter, unlabeled_scatter = _Scatter(data.p + 1), _Scatter(data.p)
         labeled_scatter.add(labeled, test_l)
 
         def finish():
             mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
-                draw() if rows is None else rows, labeled_scatter, unlabeled_scatter
+                rows(), labeled_scatter, unlabeled_scatter
             )
             draws = sample_student_t_each(
                 len(test_l) - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
@@ -451,14 +461,18 @@ def _start_supervised(data, fitter, n_folds, n_draws, alpha, rng):
 def _start_imputation(data, fitter, n_folds, n_draws, alpha, rng):
     n_draws = _check_draw_count(n_draws)
     fit = fitter(data.features, data.outcomes, rng.substream(1))
-    rows = _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p)
     mean_row = _check_width(fit.posterior_mean(), data.p)
     metadata = fit.metadata
+
+    def draw():
+        return _check_width(fit.sample_many(n_draws, rng.substream(2)), data.p)
+
+    rows = _rows_after_the_pass(fit, draw, n_draws, data.p)
     total = np.zeros(data.p)
 
     def finish():
         aug_mean = np.concatenate([[1.0], total / data.n_unlabeled])
-        draws = rows @ aug_mean
+        draws = rows() @ aug_mean
         point = float(mean_row @ aug_mean)
         diagnostics = _base_diagnostics("imp", data, rng, n_draws, alpha)
         diagnostics["nuisance"] = metadata
@@ -476,9 +490,9 @@ def imputation_posterior(data: Dataset, fitter: Fitter, n_draws: int, alpha: flo
     draw is the unlabeled-data mean of one sampled regression function, and
     the point estimate that of the posterior mean.  Both come from the
     column means of the unlabeled rows, summed block by block after the
-    fit.  This construction is sensitive to
-    the nuisance posterior and is shipped as a contrast, not as a
-    recommended estimator.
+    fit.  The rows are drawn after that pass, unless the fit holds more
+    numbers than they do.  This construction is sensitive to the nuisance
+    posterior and is shipped as a contrast, not as a recommended estimator.
 
     For a linear nuisance with posterior mean mhat = (a, b) the point
     estimate a + b'xbar_u equals ybar_l + b'(xbar_u - xbar_l) minus the

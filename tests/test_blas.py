@@ -53,6 +53,21 @@ def _skip_unless_threads_show():
 _THREADS = "len(os.listdir('/proc/self/task'))"
 
 
+def _check_count_of_numpy_alone(before):
+    """``before``, read after a library import, must be what ``import numpy`` alone reads.
+
+    Only where numpy alone starts OpenBLAS on one thread is there nothing to tell apart.
+    """
+    alone = _run_json(
+        "import json, numpy\n"
+        "from ssmean import _blas\n"
+        "print(json.dumps(_blas.describe()))\n"
+    )
+    if alone == "BLAS threads: 1":
+        pytest.skip("OpenBLAS starts on one thread here")
+    assert before == alone, "a library import changed OpenBLAS's thread count"
+
+
 @pytest.fixture
 def two_threads(monkeypatch):
     """Every loaded OpenBLAS at two threads, no thread variable set; restored after."""
@@ -202,8 +217,7 @@ def test_sequential_replications_run_on_one_thread():
         "print(json.dumps([before, sorted(set(seen)), len(seen), _blas.describe()]))\n"
     )
     before, inside, fits, after = _run_json(script)
-    if before == "BLAS threads: 1":
-        pytest.skip("OpenBLAS starts on one thread here")
+    _check_count_of_numpy_alone(before)
     assert inside == ["BLAS threads: 1"] and fits == 6  # 2 replications x 3 folds
     assert after == before
 
@@ -211,11 +225,12 @@ def test_sequential_replications_run_on_one_thread():
 def test_estimators_run_on_one_thread():
     if os.cpu_count() < 2 or not _blas._openblas_threads():
         pytest.skip("needs OpenBLAS and two cores")
+    # ssmean is imported before numpy, as a library caller may
     script = (
         "import json\n"
-        "import numpy as np\n"
         "from ssmean import (Dataset, RngStream, _blas, bdmi_cf, hbdmi_cf,\n"
         "                    imputation_posterior, make_fitter)\n"
+        "import numpy as np\n"
         "bols = make_fitter('bols')\n"
         "seen = {}\n"
         "def counting(method):\n"
@@ -232,8 +247,7 @@ def test_estimators_run_on_one_thread():
         "print(json.dumps([before, seen, _blas.describe()]))\n"
     )
     before, seen, after = _run_json(script)
-    if before == "BLAS threads: 1":
-        pytest.skip("OpenBLAS starts on one thread here")
+    _check_count_of_numpy_alone(before)
     assert seen == {"bdmi": ["BLAS threads: 1"] * 4, "hbdmi": ["BLAS threads: 1"] * 4,
                     "imp": ["BLAS threads: 1"]}
     assert after == before

@@ -15,6 +15,16 @@ repeat, so slow drift of the host and the cost of going first fall on all of
 them alike.  It ends with one timed run of the Tier-1 command per
 checkout, and keeps its ``--durations=10`` list.
 
+Each workload of every checkout after the first also gets ``versus_first``:
+per end-to-end metric of the first checkout's BENCHMARK.json, over the
+repeats that completed on both (a pair), the pairs in which this checkout
+reads better, worse and equal, as the metric's ``better`` has it; the
+difference of the medians (this one's minus the first's, over all completed
+runs); the first checkout's q3 - q1; ``gain_shown``, true when this checkout
+is better in at least 9 of 10 pairs and its median better by more than that
+spread; and ``worse_than_bound``, true when its median is worse by more than
+the metric's ``bound``.
+
 Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag
 and ``src_lines``, the line count of ``src/ssmean/*.py`` as ``wc -l`` sums
 it, and the file records nproc, the BLAS thread variables, the thread count
@@ -56,6 +66,36 @@ def summarize(values: list[float]) -> dict:
     """Median, quartiles (statistics.quantiles' default method) and the raw values."""
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def versus(first: list, runs: list, end_to_end: list) -> dict:
+    """One workload's runs against the first checkout's, repeat by repeat (module docstring)."""
+    out = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        sides = [[run.get("metrics", {}).get(name, {}).get("value") for run in side]
+                 for side in (first, runs)]
+        if not all(any(value is not None for value in side) for side in sides):
+            continue
+        before, after = (summarize([value for value in side if value is not None])
+                         for side in sides)
+        # > 0 where this checkout reads worse than the first
+        gaps = [sign * (b - a) for a, b in zip(*sides) if a is not None and b is not None]
+        difference = after["median"] - before["median"]
+        spread = before["q3"] - before["q1"]
+        better = sum(gap < 0 for gap in gaps)
+        out[name] = {
+            "pairs": len(gaps),
+            "better": better,
+            "worse": sum(gap > 0 for gap in gaps),
+            "equal": sum(gap == 0 for gap in gaps),
+            "median_difference": difference,
+            "first_iqr": spread,
+            "gain_shown": bool(gaps) and 10 * better >= 9 * len(gaps)
+                          and -sign * difference > spread,
+            "worse_than_bound": sign * difference > metric["bound"],
+        }
+    return out
 
 
 def _env(checkout: Path) -> dict:
@@ -105,17 +145,18 @@ def tier1(checkout: Path) -> dict:
 
 
 def measure(checkouts: list[Path], repeats: int, seconds: float) -> list:
-    entries = []
-    for checkout in checkouts:
-        spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-        entries.append({**revision(checkout), **probe(checkout),
-                        "workloads": {w["name"]: [] for w in spec["workloads"]}})
+    specs = [json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+             for checkout in checkouts]
+    entries = [{**revision(checkout), **probe(checkout),
+                "workloads": {w["name"]: [] for w in spec["workloads"]}}
+               for checkout, spec in zip(checkouts, specs)]
     for repeat in range(repeats):
         for name in entries[0]["workloads"]:
             pairs = list(zip(checkouts, entries))
             for checkout, entry in pairs[::-1] if repeat % 2 else pairs:
                 if name in entry["workloads"]:
                     entry["workloads"][name].append(perfbench(checkout, name, seconds))
+    first = dict(entries[0]["workloads"])
     for checkout, entry in zip(checkouts, entries):
         for name, runs in entry["workloads"].items():
             ok = [run for run in runs if "metrics" in run]
@@ -128,6 +169,9 @@ def measure(checkouts: list[Path], repeats: int, seconds: float) -> list:
                 "errors": [run["error"] for run in runs if "error" in run],
                 "metrics": metrics,
             }
+            if entry is not entries[0] and name in first:
+                entry["workloads"][name]["versus_first"] = versus(
+                    first[name], runs, specs[0].get("end_to_end", []))
         entry["tier1"] = tier1(checkout)
     return entries
 
