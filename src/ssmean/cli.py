@@ -30,10 +30,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DataError, NumericalError, SsmeanError
 from .io import load_labeled_csv, open_csv, write_json_atomic, write_text_atomic
-from .nuisance import GibbsConfig, make_fitter
+from .nuisance import GibbsConfig
 from .rng import GENERATOR_NAME, RngStream
 from .simulation import (
-    ESTIMATORS,
     SUPERVISED,
     SimDesign,
     emit_density_data,
@@ -42,6 +41,7 @@ from .simulation import (
     run_methods,
     run_replications,
 )
+from .estimators import STARTS
 
 __all__ = ["RunConfig", "parse_config", "cmd_estimate", "cmd_compare", "cmd_simulate", "main"]
 
@@ -63,7 +63,7 @@ _KEYS = {
     "m": (_COMMANDS, 1000, 100, _COMMANDS),
     "alpha": (_COMMANDS, 0.05, float, _COMMANDS),
     "seed": (_COMMANDS, 1729, 0, _COMMANDS),
-    "jobs": (_COMMANDS, 1, 1, ()),
+    "jobs": (_SIM, 1, 1, ()),
     "out": (_COMMANDS, None, str, _COMMANDS),
     "gibbs_burn_in": (_COMMANDS, 1000, int, _COMMANDS),
     "gibbs_sweeps": (_COMMANDS, 2000, int, _COMMANDS),
@@ -95,7 +95,7 @@ class RunConfig:
     m: int
     alpha: float
     seed: int
-    jobs: int
+    jobs: int | None
     labeled: str | None
     unlabeled: str | None
     out: str
@@ -185,9 +185,9 @@ def parse_config(
             settings["gibbs_burn_in"], settings["gibbs_sweeps"], settings["gibbs_slab_scale"]
         )
         for each in dict.fromkeys((spec, *methods)):
-            nuisance = parse_method_spec(each)[1]
-            if nuisance is not None:
-                make_fitter(nuisance, gibbs)
+            if methods.count(each) > 1:
+                raise ConfigError(f"method {each!r} is listed twice")
+            parse_method_spec(each, gibbs)
         design = None
         if command == "simulate":
             # config keys named after a design field set it; k and m are its folds and draws
@@ -304,14 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--labeled", help="labeled CSV (outcome first, then features)")
         p.add_argument("--unlabeled", help="unlabeled CSV (feature columns only)")
-        p.add_argument("--method", choices=tuple(ESTIMATORS))
+        p.add_argument("--method", choices=tuple(STARTS))
         p.add_argument("--nuisance", help="bols|bridge|spike|constant:<c>|zero")
         p.add_argument("--k", type=int, help="number of cross-fitting folds")
         p.add_argument("--m", type=int, help="posterior draws per run")
         p.add_argument("--alpha", type=float, help="credible-interval miss level")
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int,
-                       help="parallel workers for replications (estimate and compare ignore it)")
+        p.add_argument("--jobs", type=int, help="replication workers (simulate only)")
         p.add_argument("--out", help="output path (simulate: prefix for .json/.csv)")
     return parser
 
@@ -321,9 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
         config = parse_config(args.command, args.config, overrides)
-        with _blas.one_thread():
-            command = {"estimate": cmd_estimate, "compare": cmd_compare, "simulate": cmd_simulate}
-            out = command[args.command](config)
+        command = {"estimate": cmd_estimate, "compare": cmd_compare, "simulate": cmd_simulate}
+        out = command[args.command](config)
         print(str(out))
         return 0
     except ConfigError as exc:

@@ -247,6 +247,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp gives 0o600; a plain open gives this
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -31,13 +31,13 @@ from .estimators import (
     supervised_posterior,
     unlabeled_pass,
 )
-from .nuisance import GibbsConfig, make_fitter
+from .io import write_text_atomic
+from .nuisance import Fitter, GibbsConfig, make_fitter
 from .rng import RngStream
 
 __all__ = [
     "SimDesign",
     "SimulationResults",
-    "ESTIMATORS",
     "parse_method_spec",
     "run_method",
     "run_methods",
@@ -54,8 +54,9 @@ DENSITY_GRID_SIZE = 101
 
 SUPERVISED = "sup"
 
-# method family -> estimator(data, fitter, n_folds, n_draws, alpha, rng); the
-# estimators are looked up when called, so a wrapped module attribute is seen
+# method family -> estimator(data, fitter, n_folds, n_draws, alpha, rng): run_method's
+# adapter onto the wrappers that perfbench's SPANS traces, until SPANS is keyed on the
+# stages of STARTS (ROADMAP item 1).  Looked up when called, so a wrapped one is seen.
 ESTIMATORS = {
     "sup": lambda data, fitter, k, m, alpha, rng: supervised_posterior(data, m, alpha, rng),
     "bdmi": lambda data, fitter, k, m, alpha, rng: bdmi_cf(data, k, fitter, m, alpha, rng),
@@ -64,20 +65,18 @@ ESTIMATORS = {
 }
 
 
-def parse_method_spec(spec: str) -> tuple[str, str | None]:
-    """Split 'bdmi:bols' into (family, nuisance); 'sup' has no nuisance."""
+def parse_method_spec(spec: str, gibbs: GibbsConfig | None = None) -> tuple[str, Fitter | None]:
+    """Resolve 'bdmi:bols' to (family, fitter) through STARTS and make_fitter; 'sup' has none."""
     family, _, nuisance = spec.partition(":")
-    if family not in ESTIMATORS:
-        raise InvalidParameterError(
-            f"unknown method {family!r}; expected one of {tuple(ESTIMATORS)}"
-        )
+    if family not in STARTS:
+        raise InvalidParameterError(f"unknown method {family!r}; expected one of {tuple(STARTS)}")
     if family == SUPERVISED:
         if nuisance:
             raise InvalidParameterError("the supervised method takes no nuisance")
         return family, None
     if not nuisance:
         raise InvalidParameterError(f"method {family!r} needs a nuisance, e.g. {family}:bols")
-    return family, nuisance
+    return family, make_fitter(nuisance, gibbs)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,9 @@ class SimDesign:
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "methods", tuple(self.methods))
         for spec in self.methods:
-            parse_method_spec(spec)
+            if self.methods.count(spec) > 1:
+                raise InvalidParameterError(f"method {spec!r} is listed twice")
+            parse_method_spec(spec, self.gibbs)
 
 
 def signal_coefficients(p: int, s: int) -> np.ndarray:
@@ -300,8 +301,7 @@ def run_method(
     rng: RngStream,
 ) -> EstimationResult:
     """Dispatch a method spec like 'sup' or 'bdmi:bols' onto a dataset."""
-    family, nuisance = parse_method_spec(spec)
-    fitter = None if nuisance is None else make_fitter(nuisance, gibbs)
+    family, fitter = parse_method_spec(spec, gibbs)
     return ESTIMATORS[family](data, fitter, n_folds, n_draws, alpha, rng)
 
 
@@ -317,8 +317,7 @@ def run_methods(streams: dict[str, RngStream], data: Dataset, n_folds: int, n_dr
     """
     started = []
     for spec, rng in streams.items():
-        family, nuisance = parse_method_spec(spec)
-        fitter = None if nuisance is None else make_fitter(nuisance, gibbs)
+        family, fitter = parse_method_spec(spec, gibbs)
         started.append(STARTS[family](data, fitter, n_folds, n_draws, alpha, rng))
     return dict(zip(streams, unlabeled_pass(data.unlabeled_features, started)))
 
@@ -407,17 +406,16 @@ def emit_density_data(results: SimulationResults, directory: str | Path) -> list
         raise InvalidParameterError(
             "results carry no posterior draws; rerun with keep_draws=True"
         )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     written = []
     for method in results.design.methods:
-        path = directory / f"density_{method.replace(':', '_')}.csv"
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["replication", "grid_point", "density"])
-            for rep, draws in enumerate(results.draws[method]):
-                centers, density = _density_rows(draws)
-                for x, f in zip(centers, density):
-                    writer.writerow([rep, repr(float(x)), repr(float(f))])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["replication", "grid_point", "density"])
+        for rep, draws in enumerate(results.draws[method]):
+            centers, density = _density_rows(draws)
+            for x, f in zip(centers, density):
+                writer.writerow([rep, repr(float(x)), repr(float(f))])
+        path = Path(directory) / f"density_{method.replace(':', '_')}.csv"
+        write_text_atomic(path, buf.getvalue())
         written.append(path)
     return written

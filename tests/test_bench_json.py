@@ -72,13 +72,15 @@ def test_writes_one_entry_per_checkout(bench_json, tmp_path, monkeypatch):
     out_root.mkdir()
     monkeypatch.setattr(bench_json, "ROOT", out_root)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072")
     monkeypatch.setattr(sys, "argv", ["bench_json.py", "--label", "t", "--checkout",
                                       str(checkout), "--repeats", "3", "--seconds", "0"])
     assert bench_json.main() == 0
     payload = json.loads((out_root / "BENCH_t.json").read_text())
     assert (payload["label"], payload["repeats"], payload["seed"]) == ("t", 3, 1)
     assert "OPENBLAS_NUM_THREADS" in payload["blas_env"]
-    assert payload["python_env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert payload["python_env"] == {"PYTHONDONTWRITEBYTECODE": "1",
+                                     "GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}
     (entry,) = payload["checkouts"]
     assert entry["blas"] == "BLAS threads: 1" and entry["dirty"] is False
     assert len(entry["rev"]) == 40 and entry["numpy"] and entry["python"]

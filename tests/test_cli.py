@@ -135,9 +135,15 @@ class TestConfigFaults:
             ("estimate", {}, ["--nuisance", "constant:abc"], "constant:abc"),
             ("simulate", SMALL_STUDY, ["--method", "imp", "--labeled", "x.csv"], "labeled"),
             ("estimate", {"labeled": "missing.csv"}, ["--nuisance", "bogus"], "bogus"),
+            ("compare", {"methods": ["bdmi:bols", "bdmi:bols"]}, [], "'bdmi:bols'"),
+            ("simulate", {**SMALL_STUDY, "methods": ["sup", "bdmi:bols", "bdmi:bols"]}, [],
+             "'bdmi:bols'"),
+            ("estimate", {}, ["--jobs", "2"], "jobs"),
+            ("compare", {}, ["--jobs", "2"], "jobs"),
         ],
         ids=["s-above-p", "kind", "slab-scale", "nuisance-estimate", "nuisance-compare",
-             "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled"],
+             "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled",
+             "compare-duplicate", "simulate-duplicate", "estimate-jobs", "compare-jobs"],
     )
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):

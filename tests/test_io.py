@@ -1,6 +1,8 @@
 """CSV ingest: the numpy fast path must accept and reject exactly what the
 per-cell ``float()`` reading accepts and rejects, naming the same line and column."""
 
+import os
+import stat
 import tracemalloc
 import warnings
 from unittest import mock
@@ -15,7 +17,7 @@ import ssmean.io
 from _oracles import read_csv_reference
 from ssmean.errors import DataError, NumericalError, ValidationError
 from ssmean.estimators import unlabeled_pass
-from ssmean.io import load_labeled_csv, load_unlabeled_csv, write_json_atomic
+from ssmean.io import load_labeled_csv, load_unlabeled_csv, write_json_atomic, write_text_atomic
 
 
 def _write(path, text):
@@ -321,3 +323,14 @@ def test_json_writer_rejects_non_finite_numbers(tmp_path, value):
     write_json_atomic(path, {"results": {"leaf": [1.0, None]}})
     assert path.read_text().split() == ["{", '"results":', "{", '"leaf":', "[", "1.0,", "null",
                                         "]", "}", "}"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_atomic_write_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "study.csv", "method\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "study.csv").stat().st_mode) == mode

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestDesign:
     def test_bad_method_spec_rejected(self):
         with pytest.raises(InvalidParameterError):
             _design(methods=("sup", "bdmi"))
+
+    @pytest.mark.parametrize("methods, named", [
+        (("sup", "bdmi:bogus"), "bogus"),
+        (("sup", "bdmi:bols", "imp:bols", "bdmi:bols"), "'bdmi:bols' is listed twice"),
+    ], ids=["unknown-nuisance", "repeated"])
+    def test_spec_rejected_at_construction(self, methods, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            _design(methods=methods)
 
     def test_true_theta(self):
         assert true_theta(_design(p=4, s=2)) == 5.0
@@ -231,6 +240,18 @@ class TestDensityEmission:
                                       tmp_path / f"jobs{jobs}")
             texts[jobs] = [path.read_bytes() for path in paths]
         assert len(texts[1]) == 2 and texts[1] == texts[2]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        results = run_replications(_design(reps=1, methods=("sup", "bdmi:bols")),
+                                   keep_draws=True)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_density_data(results, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_kept_draws(self, tmp_path):
         results = run_replications(_design())

@@ -29,9 +29,11 @@ Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag
 and ``src_lines``, the line count of ``src/ssmean/*.py`` as ``wc -l`` sums
 it, and the file records nproc, the BLAS thread variables, the thread count
 ``ssmean._blas.describe()`` reports after ``set_one_thread()``, the Python
-and numpy versions, and ``PYTHONDONTWRITEBYTECODE``: when it is set, every
+and numpy versions, ``PYTHONDONTWRITEBYTECODE``: when it is set, every
 CLI call compiles ssmean from source, which added about 50 ms to ``setup_s``
-on a 2-core x86-64 box.  The file goes to the root of the repository that
+on a 2-core x86-64 box; and ``GLIBC_TUNABLES``, since a fixed
+``glibc.malloc.mmap_threshold`` moves ``peak_rss_mb`` by more than its
+bound.  The file goes to the root of the repository that
 holds this script.  Only the stdlib is imported.
 """
 
@@ -192,7 +194,8 @@ def main() -> int:
         "repeats": args.repeats,
         "nproc": os.cpu_count(),
         "blas_env": {var: os.environ.get(var) for var in BLAS_VARS},
-        "python_env": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
+        "python_env": {var: os.environ.get(var)
+                       for var in ("PYTHONDONTWRITEBYTECODE", "GLIBC_TUNABLES")},
         "checkouts": measure(checkouts, args.repeats, args.seconds),
     }
     out = ROOT / f"BENCH_{args.label}.json"
