@@ -1,4 +1,4 @@
-"""Run the loaded OpenBLAS libraries on one thread.
+"""Run the loaded OpenBLAS libraries on one thread, and load the CLI's numpy lean.
 
 The nuisance fits are small (a few hundred rows by tens of columns), and on
 fits that size a second BLAS thread costs more in hand-offs than it saves;
@@ -9,17 +9,31 @@ exports.  A count the user chose through ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` was read by OpenBLAS when it loaded, and is left alone.
 Elsewhere than Linux no library is found, and only the CLI's load applies.
 
-OpenBLAS starts its pool of threads when numpy loads it, and an idle pool
-thread spins for a while before it sleeps.  The CLI therefore loads numpy
-through ``load_numpy_on_one_thread``, which starts no pool thread.  A library
-``import ssmean`` loads no numpy, so the caller's numpy keeps OpenBLAS's
-default count outside the estimators.
+The CLI loads numpy and ``numpy.random`` through ``load_numpy_on_one_thread``,
+which does two things, each under its own guard:
+
+- OpenBLAS starts its pool of threads when numpy loads it, and an idle pool
+  thread spins for a while before it sleeps.  Unless numpy is loaded or the
+  user chose a count, numpy loads with OpenBLAS on one thread.
+- ``numpy.random`` imports ``secrets``, whose ``hmac`` and ``hashlib`` map
+  OpenSSL's ``libcrypto`` through ``_hashlib``: 3.4 MB of resident pages on
+  x86-64 Linux, for hashing that ssmean never does.  Unless ``_hashlib`` or
+  ``numpy.random`` is loaded, ``_hashlib`` is hidden while ``numpy.random``
+  loads, so ``hashlib`` and ``hmac`` bind CPython's built-in hash modules,
+  which give the same digests; a later ``import ssl`` loads OpenSSL as
+  usual.  This needs every built-in module ``hashlib`` falls back to, since
+  it logs each one missing to stderr; without one, OpenSSL loads as before.
+
+A library ``import ssmean`` loads no numpy and hides nothing: the caller's
+numpy keeps OpenBLAS's default count outside the estimators, and its
+``numpy.random`` loads OpenSSL as before.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib
 import os
 import sys
 from contextlib import contextmanager
@@ -30,6 +44,9 @@ _SYMBOLS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
 )
+# what hashlib binds when _hashlib cannot be imported; from 3.12 _sha2 holds SHA-2
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
 
 
 @functools.cache
@@ -71,19 +88,37 @@ def _env_choice() -> str | None:
 
 
 def load_numpy_on_one_thread() -> None:
-    """Import numpy with OpenBLAS started on one thread, unless the user chose a count.
+    """Import numpy and ``numpy.random`` on one OpenBLAS thread and without OpenSSL.
 
-    ``OPENBLAS_NUM_THREADS=1`` is set only while numpy loads, so that
-    ``describe`` and child processes see the environment as the user left
-    it.  Once numpy is loaded, its OpenBLAS has started, and nothing is done.
+    Each of the two applies under its own guard, given in the module
+    docstring.  ``OPENBLAS_NUM_THREADS=1`` is set only while numpy loads, and
+    ``_hashlib`` hidden only while ``numpy.random`` loads, so that
+    ``describe``, child processes and later imports see what the user left.
     """
-    if "numpy" in sys.modules or _env_choice() is not None:
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    one_thread = "numpy" not in sys.modules and _env_choice() is None
+    no_openssl = ("_hashlib" not in sys.modules and "numpy.random" not in sys.modules
+                  and _builtin_hashes_import())
+    if one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if no_openssl:
+        sys.modules["_hashlib"] = None  # the import system's "not found" sentinel
     try:
-        import numpy  # noqa: F401
+        import numpy.random  # noqa: F401
     finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+        if one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        if no_openssl:
+            del sys.modules["_hashlib"]
+
+
+def _builtin_hashes_import() -> bool:
+    """Whether ``hashlib`` without ``_hashlib`` would find every hash it defines."""
+    try:
+        for name in _BUILTIN_HASHES:
+            importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
 
 
 def describe() -> str:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import _blas
 
-_blas.load_numpy_on_one_thread()  # before any module below imports numpy
+_blas.load_numpy_on_one_thread()  # before any module below imports numpy or numpy.random
 
 import numpy as np
 
@@ -125,7 +125,12 @@ def _typed(key: str, value, kind):
         )
     if isinstance(kind, int) and value < kind:
         raise ConfigError(f"config key {key!r} must be >= {kind}, got {value}")
-    return float(value) if kind is float else tuple(value) if kind is list else value
+    if kind is float:
+        # json.load takes NaN, Infinity and integers beyond any double; NaN fails <= too
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+        return float(value)
+    return tuple(value) if kind is list else value
 
 
 def parse_config(
@@ -143,7 +148,7 @@ def parse_config(
                 loaded = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8, and an int past the digit limit
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -332,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (NumericalError, FloatingPointError) as exc:
         print(f"ssmean: numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        print(f"ssmean: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 4
 
 

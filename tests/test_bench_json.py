@@ -49,6 +49,7 @@ def _stub_checkout(root: Path) -> Path:
     (root / "perfbench" / "run.py").write_text(STUB_RUN)
     (root / "src" / "ssmean" / "__init__.py").write_text("")
     (root / "src" / "ssmean" / "_blas.py").write_text(STUB_BLAS)
+    (root / "src" / "ssmean" / "cli.py").write_text("")
     (root / "BENCHMARK.json").write_text(
         json.dumps({"workloads": [{"name": "fast"}, {"name": "slow"}]})
     )
@@ -84,13 +85,39 @@ def test_writes_one_entry_per_checkout(bench_json, tmp_path, monkeypatch):
     (entry,) = payload["checkouts"]
     assert entry["blas"] == "BLAS threads: 1" and entry["dirty"] is False
     assert len(entry["rev"]) == 40 and entry["numpy"] and entry["python"]
-    assert entry["src_lines"] == 5  # wc -l: __init__.py is empty, _blas.py has 5 lines
+    assert entry["src_lines"] == 5  # wc -l: __init__.py and cli.py are empty, _blas.py has 5
+    floor = entry["import_floor"]
+    if sys.platform.startswith("linux"):
+        files = floor["largest_files"]
+        assert floor["vmhwm_kb"] > 0 and 0 < len(files) <= 5
+        assert [f["rss_kb"] for f in files] == sorted((f["rss_kb"] for f in files), reverse=True)
+    else:
+        assert floor is None
     fast = entry["workloads"]["fast"]
     assert (fast["runs"], fast["correct"], fast["errors"]) == (3, True, [])
     assert fast["metrics"]["wall_s"]["values"] == [1.0, 2.0, 3.0]
     assert entry["workloads"]["slow"]["metrics"]["wall_s"]["median"] == 11.0
     # the stub checkout has no tests: pytest exits 5, "no tests ran"
     assert entry["tier1"]["exit_code"] == 5 and entry["tier1"]["wall_s"] > 0
+
+
+STUB_MAPPING_CLI = """\
+import mmap
+with open("big.bin", "rb") as handle:
+    MAP = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+TOUCHED = sum(MAP[i] for i in range(0, len(MAP), mmap.PAGESIZE))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+def test_import_floor_names_the_file_the_cli_import_maps_most_of(bench_json, tmp_path):
+    checkout = _stub_checkout(tmp_path / "checkout")
+    (checkout / "src" / "ssmean" / "cli.py").write_text(STUB_MAPPING_CLI)
+    (checkout / "big.bin").write_bytes(b"\x01" * (24 << 20))  # past any library's pages
+    floor = bench_json.import_floor(checkout)
+    largest = floor["largest_files"][0]
+    assert largest == {"path": str(checkout.resolve() / "big.bin"), "rss_kb": 24 << 10}
+    assert floor["vmhwm_kb"] > 24 << 10
 
 
 STUB_SERIES = """\

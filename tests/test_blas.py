@@ -1,7 +1,7 @@
 """OpenBLAS threads: one inside the CLI, the public estimators and
 replications, pooled or sequential, the count chosen through the environment
-kept, and reports the same either way.  The CLI loads OpenBLAS on one thread;
-a library import loads no numpy."""
+kept, and reports the same either way.  The CLI loads OpenBLAS on one thread
+and numpy.random without OpenSSL; a library import loads no numpy."""
 
 import concurrent.futures
 import importlib
@@ -139,6 +139,46 @@ def test_cli_loads_openblas_on_one_thread():
         "                  _blas.describe()]))\n"
     )
     assert (threads, variable_left, described) == (1, False, "BLAS threads: 1")
+
+
+_ESTIMATE_AND_REPORT_THE_LOAD = (
+    "import json, sys\n"
+    "for name in sys.argv[1:]:\n"
+    "    sys.modules[name] = None  # as if this hash module had not been built\n"
+    "from ssmean.cli import main\n"
+    "code = main(['estimate', '--labeled', 'l.csv', '--unlabeled', 'u.csv', '--method',\n"
+    "             'bdmi', '--nuisance', 'bols', '--k', '3', '--m', '200', '--out', 'r.json'])\n"
+    "maps = open('/proc/self/maps').read() if sys.platform.startswith('linux') else ''\n"
+    "openssl = [lib for lib in ('libcrypto', 'libssl') if lib in maps]\n"
+    "loaded = '_hashlib' in sys.modules\n"
+    "import hashlib\n"
+    "digest = hashlib.sha256(b'abc').hexdigest()\n"
+    "import ssl  # OpenSSL still loads for a caller that asks for it\n"
+    "print(json.dumps([code, openssl, loaded, digest]))\n"
+)
+_SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+@pytest.mark.parametrize("variables, hidden", [
+    ({}, []),
+    ({"OMP_NUM_THREADS": "1"}, []),
+    ({}, ["_md5"]),
+], ids=["bare", "thread-count-chosen", "md5-module-missing"])
+def test_cli_loads_no_openssl_while_every_builtin_hash_imports(tmp_path, variables, hidden):
+    assert set(hidden) <= set(_blas._BUILTIN_HASHES)
+    (tmp_path / "l.csv").write_text("y,x1\n" + "".join(f"{i % 7},{i % 5}\n" for i in range(30)))
+    (tmp_path / "u.csv").write_text("x1\n" + "".join(f"{i % 3}\n" for i in range(60)))
+    done = subprocess.run([sys.executable, "-c", _ESTIMATE_AND_REPORT_THE_LOAD, *hidden],
+                          cwd=tmp_path, env={**_env_without_blas_vars(), **variables},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    code, openssl, loaded, digest = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and digest == _SHA256_ABC
+    if hidden:
+        # hashlib would log every hash it could not find, so OpenSSL loads as it always did
+        assert loaded
+    else:
+        assert (openssl, loaded) == ([], False)
 
 
 def test_first_call_to_blas_finds_numpys_openblas():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ssmean.data
+import ssmean.estimators
 import ssmean.io
 from ssmean import (
     Dataset,
@@ -20,7 +22,7 @@ from ssmean import (
     run_methods,
     validate_dataset,
 )
-from ssmean.cli import main, parse_config
+from ssmean.cli import _KEYS, main, parse_config
 from ssmean.errors import ConfigError, DataError, ValidationError
 from ssmean.io import load_labeled_csv, load_unlabeled_csv, open_csv
 
@@ -147,18 +149,43 @@ class TestConfigFaults:
     )
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):
-        monkeypatch.setattr("ssmean.cli.load_labeled_csv", _no_csv)
-        monkeypatch.setattr("ssmean.cli.open_csv", _no_csv)
-        if command != "simulate":
-            # readable files, so only the config can stop the run
-            config = {"labeled": _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n"),
-                      "unlabeled": _write(tmp_path / "u.csv", "x1\n0\n1\n"), **config}
+        _assert_exits_2_before_any_data(tmp_path, monkeypatch, capsys, command, config, flags,
+                                        named)
+
+    @pytest.mark.parametrize("key", [key for key, row in _KEYS.items() if row[2] is float])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int-beyond-double"])
+    def test_non_finite_number_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
+        # json.dumps writes NaN, Infinity and -Infinity, tokens that json.load takes back
+        command = _KEYS[key][0][0]
+        config = {**(SMALL_STUDY if command == "simulate" else {}), key: value}
+        _assert_exits_2_before_any_data(tmp_path, monkeypatch, capsys, command, config, [],
+                                        f"config key {key!r} must be a finite number")
+
+    @pytest.mark.parametrize("text", [b'{"out": "\xff"}', b'{"alpha": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "int-past-the-digit-limit"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        # both are ValueErrors that json.load raises outside JSONDecodeError
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
-        assert main([command, "--config", str(path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("ssmean: config error:") and named in err
-        assert not list(tmp_path.glob("out*"))
+        path.write_bytes(text)
+        assert main(["estimate", "--config", str(path), "--method", "sup"]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+
+def _assert_exits_2_before_any_data(tmp_path, monkeypatch, capsys, command, config, flags,
+                                    named):
+    monkeypatch.setattr("ssmean.cli.load_labeled_csv", _no_csv)
+    monkeypatch.setattr("ssmean.cli.open_csv", _no_csv)
+    if command != "simulate":
+        # readable files, so only the config can stop the run
+        config = {"labeled": _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n"),
+                  "unlabeled": _write(tmp_path / "u.csv", "x1\n0\n1\n"), **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+    assert main([command, "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssmean: config error:") and named in err
+    assert not list(tmp_path.glob("out*"))
 
 
 def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3, outcome_scale=1.0):
@@ -322,6 +349,25 @@ class TestEstimateCommand:
         fits = ([diagnostics["nuisance"]] if method == "imp"
                 else [fold["nuisance"] for fold in diagnostics["folds"]])
         assert all(fit["lambda_hat"] is None and fit["degenerate"] for fit in fits)
+
+    @pytest.mark.parametrize("error", [
+        MemoryError(),
+        # what numpy raises for an array it cannot allocate; built here, not allocated
+        np._core._exceptions._ArrayMemoryError((10**6, 10**6), np.dtype(float)),
+    ], ids=["plain", "numpy"])
+    def test_memory_error_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys, error):
+        def start(*args):
+            raise error
+
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path, n_unlabeled=50)
+        monkeypatch.setitem(ssmean.estimators.STARTS, "bdmi", start)
+        out = tmp_path / "report.json"
+        code = main(["compare", "--labeled", labeled, "--unlabeled", unlabeled,
+                     "--method", "bdmi", "--nuisance", "bols", "--k", "4", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ssmean: out of memory: ") and err.count("\n") == 1
+        assert str(error) in err and not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         labeled = _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n")

@@ -175,8 +175,10 @@ class TestCredibleInterval:
         assert (med - lo) == pytest.approx(hi - med, abs=0.05)
 
     def test_alpha_validation(self):
-        with pytest.raises(InvalidParameterError):
-            credible_interval(np.ones(10), 1.5)
+        # named as alpha: at 0, sample_quantile would also refuse its level of 0
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(InvalidParameterError, match="alpha must lie in"):
+                credible_interval(np.ones(10), alpha)
 
 
 class TestSupervised:
@@ -478,7 +480,39 @@ class TestFoldMoments:
             assert _max_error(new, ref) <= 1e-9 * float(np.max(np.abs(ref))), name
 
 
+def test_substream_labels_within_a_fold_are_distinct():
+    # two draws on one label would be correlated, and every report's draws would move
+    labels = [ssmean.estimators._FIT, ssmean.estimators._NUISANCE_DRAW,
+              ssmean.estimators._THETA_BIAS, ssmean.estimators._THETA_IMPUTED]
+    assert len(set(labels)) == len(labels)
+
+
 class TestImputation:
+    def test_fits_on_substream_1_and_draws_on_substream_2(self):
+        seen = {}
+        bols = make_fitter("bols")
+
+        class Noted:
+            """A bols fit that notes the stream its rows are drawn from."""
+
+            def __init__(self, fit):
+                self.fit, self.metadata = fit, fit.metadata
+
+            def posterior_mean(self):
+                return self.fit.posterior_mean()
+
+            def sample_many(self, count, rng):
+                seen["draw"] = rng
+                return self.fit.sample_many(count, rng)
+
+        def fitter(X, y, rng):
+            seen["fit"] = rng
+            return Noted(bols(X, y, rng))
+
+        imputation_posterior(_toy_dataset(seed=18), fitter, 200, 0.05, RNG.substream(9))
+        assert seen == {"fit": RNG.substream(9).substream(1),
+                        "draw": RNG.substream(9).substream(2)}
+
     def test_constant_nuisance_degenerate(self):
         data = _toy_dataset(seed=19)
         result = imputation_posterior(data, _const_fitter(3.0), 300, 0.05, RNG.substream(10))

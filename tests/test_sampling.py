@@ -66,6 +66,14 @@ class TestStudentT:
         c = sample_student_t(comp, 500, RNG.substream(5))
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("df", [0.3, 1.0])
+    def test_heavy_tails_draw_finite_values(self, df):
+        # df <= 1: no mean, yet every draw is finite, of the count and shape asked
+        draws = sample_student_t(TComponent(df=df, location=2, scale_sq=3), 10**4, RNG)
+        assert draws.shape == (10**4,) and np.isfinite(draws).all()
+        each = sample_student_t_each(df, np.zeros(5), np.ones(5), RNG.substream(1))
+        assert each.shape == (5,) and np.isfinite(each).all()
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             TComponent(df=0, location=0, scale_sq=1)

@@ -27,7 +27,11 @@ the metric's ``bound``.
 
 Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag
 and ``src_lines``, the line count of ``src/ssmean/*.py`` as ``wc -l`` sums
-it, and the file records nproc, the BLAS thread variables, the thread count
+it, and ``import_floor``: the ``VmHWM`` of a fresh ``import ssmean.cli``,
+below which no command's peak can fall, and the five files mapped into that
+process with the most resident pages, from ``/proc/self/smaps`` (both in
+/proc's kB, which are KiB; null elsewhere than Linux).  The file records
+nproc, the BLAS thread variables, the thread count
 ``ssmean._blas.describe()`` reports after ``set_one_thread()``, the Python
 and numpy versions, ``PYTHONDONTWRITEBYTECODE``: when it is set, every
 CLI call compiles ssmean from source, which added about 50 ms to ``setup_s``
@@ -62,6 +66,17 @@ PROBE = (
     "print(json.dumps({'python': platform.python_version(), 'numpy': numpy.__version__,\n"
     "                  'blas': _blas.describe()}))\n"
 )
+
+# prints the VmHWM line of /proc/self/status, then /proc/self/smaps, after the CLI's imports
+FLOOR = (
+    "import sys\n"
+    "import ssmean.cli\n"
+    "if sys.platform.startswith('linux'):\n"
+    "    status = open('/proc/self/status').read().splitlines()\n"
+    "    print(*[line for line in status if line.startswith('VmHWM:')])\n"
+    "    print(open('/proc/self/smaps').read(), end='')\n"
+)
+FLOOR_FILES = 5
 
 
 def summarize(values: list[float]) -> dict:
@@ -125,6 +140,26 @@ def probe(checkout: Path) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def import_floor(checkout: Path) -> dict | None:
+    """The peak of a fresh ``import ssmean.cli`` and its largest file mappings (docstring)."""
+    out = subprocess.run([sys.executable, "-c", FLOOR], cwd=checkout, env=_env(checkout),
+                         capture_output=True, text=True, check=True).stdout
+    if not out:
+        return None
+    peak, *smaps = out.splitlines()
+    rss: dict[str, int] = {}
+    path = None
+    for line in smaps:
+        first, *rest = line.split(maxsplit=5)
+        if not first.endswith(":"):  # a mapping's header: address, ..., inode, then any path
+            path = rest[4] if len(rest) == 5 and rest[4].startswith("/") else None
+        elif first == "Rss:" and path is not None:
+            rss[path] = rss.get(path, 0) + int(rest[0])
+    largest = sorted(rss.items(), key=lambda item: item[1], reverse=True)[:FLOOR_FILES]
+    return {"vmhwm_kb": int(peak.split()[1]),
+            "largest_files": [{"path": path, "rss_kb": kb} for path, kb in largest]}
+
+
 def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
     """One perfbench run: its final JSON line, or the error it ended with."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
@@ -149,7 +184,7 @@ def tier1(checkout: Path) -> dict:
 def measure(checkouts: list[Path], repeats: int, seconds: float) -> list:
     specs = [json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
              for checkout in checkouts]
-    entries = [{**revision(checkout), **probe(checkout),
+    entries = [{**revision(checkout), **probe(checkout), "import_floor": import_floor(checkout),
                 "workloads": {w["name"]: [] for w in spec["workloads"]}}
                for checkout, spec in zip(checkouts, specs)]
     for repeat in range(repeats):
