@@ -26,8 +26,8 @@ _EXPORTS = {
     "sampling": ("TComponent", "sample_convolution", "sample_quantile", "sample_student_t",
                  "sample_student_t_each"),
     "simulation": ("SimDesign", "SimulationResults", "emit_density_data", "generate_dataset",
-                   "mc_oracle_variances", "oracle_ore", "oracle_ore_star", "run_method",
-                   "run_methods", "run_replications"),
+                   "oracle_ore", "oracle_ore_star", "run_method", "run_methods",
+                   "run_replications"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -55,10 +55,11 @@ _REQUIRED = object()
 # key -> (commands that read it, default, type, commands whose echo carries it).
 # A type is float, str, list (of method specs), int, or an int giving an integer
 # key's minimum.  The worker count has no effect on results, so no echo carries
-# it; simulate's echo carries the method list that method and nuisance default.
+# it; compare's and simulate's echoes carry the method list that method and
+# nuisance default, and either key beside that list is refused.
 _KEYS = {
-    "method": (_COMMANDS, "bdmi", str, _DATA),
-    "nuisance": (_COMMANDS, "bridge", str, _DATA),
+    "method": (_COMMANDS, "bdmi", str, ("estimate",)),
+    "nuisance": (_COMMANDS, "bridge", str, ("estimate",)),
     "k": (_COMMANDS, 5, 2, _COMMANDS),
     "m": (_COMMANDS, 1000, 100, _COMMANDS),
     "alpha": (_COMMANDS, 0.05, float, _COMMANDS),
@@ -171,25 +172,30 @@ def parse_config(
     if settings["out"] is None:
         settings["out"] = "simulation" if command == "simulate" else f"{command}_report.json"
 
-    method = settings["method"]
-    spec = method if method == SUPERVISED else f"{method}:{settings['nuisance']}"
     methods = settings.get("methods")
     if methods is None:
+        method = settings["method"]
+        spec = method if method == SUPERVISED else f"{method}:{settings['nuisance']}"
         # simulate runs the supervised baseline beside the method; compare runs it anyway
         if command == "simulate":
             methods = tuple(dict.fromkeys((SUPERVISED, spec)))
         else:
             methods = () if command == "compare" and spec == SUPERVISED else (spec,)
-    elif command == "compare" and SUPERVISED in methods:
-        raise ConfigError("compare always includes the supervised method; "
-                          "list only semi-supervised methods")
+    else:
+        beside = [key for key in ("method", "nuisance") if values.get(key) is not None]
+        if beside:
+            raise ConfigError(f"{' and '.join(beside)} cannot be given beside methods; "
+                              "name each method spec in the list")
+        if command == "compare" and SUPERVISED in methods:
+            raise ConfigError("compare always includes the supervised method; "
+                              "list only semi-supervised methods")
     settings["methods"] = methods
 
     try:
         gibbs = GibbsConfig(
             settings["gibbs_burn_in"], settings["gibbs_sweeps"], settings["gibbs_slab_scale"]
         )
-        for each in dict.fromkeys((spec, *methods)):
+        for each in dict.fromkeys(methods):
             if methods.count(each) > 1:
                 raise ConfigError(f"method {each!r} is listed twice")
             parse_method_spec(each, gibbs)
@@ -326,7 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.command, args.config, overrides)
         command = {"estimate": cmd_estimate, "compare": cmd_compare, "simulate": cmd_simulate}
-        out = command[args.command](config)
+        # an overflow is a numerical failure with one line, not a warning beside it
+        with np.errstate(over="raise", invalid="raise"):
+            out = command[args.command](config)
         print(str(out))
         return 0
     except ConfigError as exc:

@@ -137,6 +137,7 @@ def zero_nuisance(p: int) -> NuisancePosterior:
 
 
 def _check_xy(features: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every fitter's input contract: matching rows, finite cells, a variance float64 holds."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(outcomes, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
@@ -145,6 +146,9 @@ def _check_xy(features: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, n
         )
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValidationError("training data contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(float(np.var(y))):
+            raise NumericalError("outcome variance overflows float64; rescale the outcome")
     return X, y
 
 
@@ -165,10 +169,6 @@ def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
             f"flat-prior regression needs at least p + 3 = {p + 3} rows, got {m}; "
             "consider the ridge method"
         )
-    with np.errstate(over="ignore"):
-        y_var = float(np.var(y))
-    if not math.isfinite(y_var):
-        raise NumericalError("outcome variance overflows float64; rescale the outcome")
     design = np.column_stack([np.ones(m), X])
     # R of [design, y] holds design's R and, in its last column, Q'y
     r_aug = np.linalg.qr(np.column_stack([design, y]), mode="r")
@@ -212,6 +212,14 @@ def _original_scale_map(
     return T
 
 
+def _centred_problem(X: np.ndarray, y: np.ndarray) -> tuple:
+    """Standardized kept columns and their flags, ybar, y - ybar, the map T and shape metadata."""
+    Z, xbar, sdev, keep = _standardize(X)
+    ybar = float(y.mean())
+    meta = {"n_rows": X.shape[0], "n_features": X.shape[1], "dropped_columns": int((~keep).sum())}
+    return Z, keep, ybar, y - ybar, _original_scale_map(xbar, sdev, keep), meta
+
+
 def _ridge_cv_lambda(Z: np.ndarray, y_scaled: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Total CV squared error per grid value, 10 deterministic folds."""
     m = Z.shape[0]
@@ -249,24 +257,15 @@ def fit_bridge(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     counts them.
     """
     X, y = _check_xy(features, outcomes)
-    m, p = X.shape
+    m = X.shape[0]
     if m < 5:
         raise InsufficientDataError(f"ridge regression needs at least 5 rows, got {m}")
-    if p < 1:
-        raise ValidationError("ridge regression needs at least one feature column")
-    Z, xbar, sdev, keep = _standardize(X)
-    if not keep.any():
-        raise ValidationError("all feature columns have zero variance")
+    Z, _, ybar, y_c, T, meta = _centred_problem(X, y)
     k = Z.shape[1]
-    ybar = float(y.mean())
-    y_c = y - ybar
-    with np.errstate(over="ignore"):
-        s_y = float(y.std())
-    if not math.isfinite(s_y):
-        raise NumericalError("outcome standard deviation overflows float64; rescale the outcome")
+    if k == 0:  # no columns, or none that varies
+        raise ValidationError("ridge regression needs a feature column with nonzero variance")
+    s_y = float(y.std())
     df = m - 1
-    T = _original_scale_map(xbar, sdev, keep)
-    meta: dict = {"n_rows": m, "n_features": p, "dropped_columns": int((~keep).sum())}
 
     if s_y == 0.0:
         loc = T @ np.concatenate([[ybar], np.zeros(k)])
@@ -359,23 +358,13 @@ def fit_spike_slab(
     m, p = X.shape
     if m < 10:
         raise InsufficientDataError(f"spike-and-slab needs at least 10 rows, got {m}")
-    Z, xbar, sdev, keep = _standardize(X)
+    Z, keep, ybar, y_c, T, meta = _centred_problem(X, y)
     k = Z.shape[1]
-    ybar = float(y.mean())
-    y_c = y - ybar
-    T = _original_scale_map(xbar, sdev, keep)
-    meta: dict = {
-        "n_rows": m,
-        "n_features": p,
-        "dropped_columns": int((~keep).sum()),
-        "burn_in": config.burn_in,
-        "sweeps": config.sweeps,
-    }
+    meta.update(burn_in=config.burn_in, sweeps=config.sweeps)
     inclusion = np.zeros(p)  # per original column; dropped columns stay at 0
 
-    with np.errstate(over="ignore"):
-        s_y = float(y.std())
-        y_var = float(np.var(y_c))
+    s_y = float(y.std())
+    y_var = float(np.var(y_c))
     if s_y == 0.0 or k == 0:
         loc = T @ np.concatenate([[ybar], np.zeros(k)])
         meta["degenerate"] = True
@@ -383,8 +372,6 @@ def fit_spike_slab(
         meta["inclusion_frequency"] = inclusion.tolist()
         return _point_mass("spike_slab", loc, float(m - 1), meta)
 
-    if not math.isfinite(y_var):
-        raise SamplerFailureError("outcome variance overflows float64; rescale the outcome")
     g_slab = float(config.slab_scale) if config.slab_scale is not None else float(m)
     a0 = b0 = 0.001
     zz = np.einsum("ij,ij->j", Z, Z)
@@ -485,6 +472,8 @@ def make_fitter(name: str, gibbs: GibbsConfig | None = None) -> Fitter:
             value = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise InvalidParameterError(f"bad constant nuisance spec {name!r}") from exc
+        if not math.isfinite(value):  # caught here, so a config names it before any data
+            raise InvalidParameterError(f"constant nuisance value must be finite, got {name!r}")
         return lambda X, y, rng: constant_nuisance(value, X.shape[1])
     raise InvalidParameterError(
         f"unknown nuisance method {name!r}; expected one of {NUISANCE_NAMES} "

@@ -45,7 +45,6 @@ __all__ = [
     "generate_dataset",
     "oracle_ore",
     "oracle_ore_star",
-    "mc_oracle_variances",
     "run_replications",
     "emit_density_data",
 ]
@@ -194,34 +193,6 @@ def oracle_ore_star(design: SimDesign) -> float:
     sigma1_star = cst["sigma0_sq"] + 2.0 * cst["gamma_norm_sq"] ** 2
     sigma2_star = cst["beta_norm_sq"]
     return var_y / (sigma1_star + c * sigma2_star)
-
-
-def mc_oracle_variances(
-    design: SimDesign, n_samples: int = 10**7, rng: RngStream | None = None
-) -> dict:
-    """Monte Carlo evaluation of the oracle variance components.
-
-    Independent of the closed forms in :func:`oracle_ore_star`: it simulates
-    the scalar projection of X onto the signal direction (sufficient because
-    the quadratic direction is parallel to the linear one).
-    """
-    cst = _constants(design)
-    gen = (rng or RngStream(design.seed, 999)).generator()
-    u = math.sqrt(cst["beta_norm_sq"]) * gen.standard_normal(n_samples)
-    eps = math.sqrt(cst["sigma0_sq"]) * gen.standard_normal(n_samples)
-    ratio_sq = (
-        cst["gamma_norm_sq"] / cst["beta_norm_sq"] if design.kind == "misspec" else 0.0
-    )
-    quad = ratio_sq * u**2
-    y = design.alpha0 + u + quad + eps
-    mstar = design.alpha0 + cst["gamma_norm_sq"] + u if design.kind == "misspec" else design.alpha0 + u
-    resid = y - mstar
-    return {
-        "var_y": float(y.var()),
-        "sigma1_sq_star": float(resid.var()),
-        "sigma2_sq_star": float(u.var()),
-        "var_m0": float((u + quad).var()),
-    }
 
 
 @dataclass(frozen=True)

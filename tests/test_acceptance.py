@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.stats import kstest
-from _oracles import bridge_reference, convolution_quantiles
+from _oracles import bridge_reference, convolution_quantiles, mc_oracle_variances
 
 from ssmean import (
     Dataset,
@@ -40,7 +40,6 @@ from ssmean import (
     generate_dataset,
     imputation_posterior,
     make_fitter,
-    mc_oracle_variances,
     run_method,
     run_replications,
     sample_convolution,

@@ -142,10 +142,25 @@ class TestConfigFaults:
              "'bdmi:bols'"),
             ("estimate", {}, ["--jobs", "2"], "jobs"),
             ("compare", {}, ["--jobs", "2"], "jobs"),
+            *(("estimate", {}, ["--nuisance", f"constant:{value}"],
+               "constant nuisance value must be finite")
+              for value in ("inf", "-inf", "nan", "1e400")),
+            # the list would run and method or nuisance would be ignored
+            ("compare", {"methods": ["bdmi:bols"]}, ["--method", "hbdmi", "--nuisance", "spike"],
+             "method and nuisance cannot be given beside methods"),
+            ("compare", {"methods": ["bdmi:bols"], "nuisance": "bols"}, [],
+             "nuisance cannot be given beside methods"),
+            ("simulate", {**SMALL_STUDY, "methods": ["sup"], "method": "imp"}, [],
+             "method cannot be given beside methods"),
+            ("simulate", {**SMALL_STUDY, "methods": ["sup"]}, ["--nuisance", "bols"],
+             "nuisance cannot be given beside methods"),
         ],
         ids=["s-above-p", "kind", "slab-scale", "nuisance-estimate", "nuisance-compare",
              "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled",
-             "compare-duplicate", "simulate-duplicate", "estimate-jobs", "compare-jobs"],
+             "compare-duplicate", "simulate-duplicate", "estimate-jobs", "compare-jobs",
+             "constant-inf", "constant--inf", "constant-nan", "constant-1e400",
+             "compare-method-flags", "compare-nuisance-file", "simulate-method-file",
+             "simulate-nuisance-flag"],
     )
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):
@@ -313,7 +328,7 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize(
         "nuisance, message",
-        [("bols", "variance overflows"), ("bridge", "standard deviation overflows"),
+        [("bols", "variance overflows"), ("bridge", "variance overflows"),
          ("spike", "variance overflows")],
     )
     def test_overflowing_outcome_exit_code(self, tmp_path, capsys, recwarn, nuisance, message):
@@ -440,6 +455,21 @@ class TestCompareCommand:
         assert report["rl_vs_supervised"]["sup"] == 1.0
         assert report["rl_vs_supervised"]["bdmi:bols"] > 1.0  # N >> n
         assert main(args) == 0
+        assert out.read_bytes() == first
+
+    def test_round_trip_from_echoed_config(self, tmp_path):
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path)
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--labeled", labeled, "--unlabeled", unlabeled, "--method", "imp",
+                     "--nuisance", "bols", "--k", "4", "--m", "300", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        echo = json.loads(first)["config"]
+        # as simulate's does, the echo carries the list that method and nuisance default
+        assert echo["methods"] == ["imp:bols"]
+        assert "method" not in echo and "nuisance" not in echo
+        config = tmp_path / "echo.json"
+        config.write_text(json.dumps(echo))
+        assert main(["compare", "--config", str(config)]) == 0
         assert out.read_bytes() == first
 
     def test_only_methods_that_use_unlabeled_rows_warn_when_n_ge_unlabeled(self, tmp_path):
@@ -591,6 +621,32 @@ class TestSimulateCommand:
         assert len(files) == 1
 
 
+def _python(*args, cwd=None):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("probe", ["estimate-constant", "simulate", "simulate-jobs-2"])
+def test_an_overflow_prints_one_line_and_no_warning(tmp_path, probe):
+    # numpy's RuntimeWarning text came before the failure's line; forked workers too
+    if probe == "estimate-constant":
+        labeled, unlabeled, _ = _synthetic_csvs(tmp_path)
+        args = ["estimate", "--labeled", labeled, "--unlabeled", unlabeled,
+                "--nuisance", "constant:1e308", "--k", "4", "--m", "200"]
+    else:
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({**SMALL_STUDY, "alpha0": 1e308}))
+        args = ["simulate", "--config", str(study),
+                *(["--jobs", "2"] if probe == "simulate-jobs-2" else [])]
+    done = _python("-m", "ssmean.cli", *args, cwd=tmp_path)
+    assert done.returncode == 4
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ssmean: numerical failure:"), done.stderr
+
+
 def test_cli_and_fits_load_no_scipy():
     # importing scipy.linalg would add about 0.4 s to every command's start, and
     # numpy.ma (which np.quantile loads through np.unique) 12-18 ms
@@ -612,9 +668,6 @@ def test_cli_and_fits_load_no_scipy():
         "print(json.dumps([n for n in sys.modules if n.split('.')[0] == 'scipy'\n"
         "                  or n.split('.')[:2] == ['numpy', 'ma']]))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []

@@ -20,8 +20,10 @@ from ssmean import (
     zero_nuisance,
 )
 from ssmean.errors import (
+    DimensionMismatchError,
     InsufficientDataError,
     InvalidParameterError,
+    NumericalError,
     SingularDesignError,
     ValidationError,
 )
@@ -458,6 +460,45 @@ def test_rank_decision_table(m, p):
         if not (follows_ratio and matches_parent):
             wrong.append((offset, mixed, last, f"ratio {ratio:.3g}", new, old))
     assert not wrong
+
+
+_FITTERS = {
+    "bols": fit_bols,
+    "bridge": fit_bridge,
+    "spike": lambda X, y: fit_spike_slab(X, y, GibbsConfig(burn_in=1, sweeps=1), RNG),
+}
+
+
+def _contract_case(case):
+    gen = RNG.substream(46).generator()
+    X = gen.normal(size=(40, 3))
+    y = X[:, 0] + gen.normal(size=40)
+    if case == "rows":
+        return X, y[:-1]
+    if case == "nan-cell":
+        X[5, 1] = math.nan
+        return X, y
+    # too few rows for any of the three fits: the outcome is refused first
+    return (X, y * 1e160) if case == "overflow" else (X[:4], y[:4] * 1e160)
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("rows", DimensionMismatchError, "features have 40 rows but outcomes have 39"),
+        ("nan-cell", ValidationError, "training data contains non-finite values"),
+        ("overflow", NumericalError, "outcome variance overflows float64; rescale the outcome"),
+        ("short-overflow", NumericalError,
+         "outcome variance overflows float64; rescale the outcome"),
+    ],
+    ids=["rows", "nan-cell", "overflow", "short-overflow"],
+)
+@pytest.mark.parametrize("name", list(_FITTERS))
+def test_one_input_contract_for_every_fitter(name, case, error, message):
+    X, y = _contract_case(case)
+    with pytest.raises(error) as caught:
+        _FITTERS[name](X, y)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestFixtures:

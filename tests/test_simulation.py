@@ -4,13 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from _oracles import mc_oracle_variances
 
 from ssmean import (
     RngStream,
     SimDesign,
     emit_density_data,
     generate_dataset,
-    mc_oracle_variances,
     oracle_ore,
     oracle_ore_star,
     run_replications,
