@@ -176,6 +176,10 @@ def parse_config(
     if methods is None:
         method = settings["method"]
         spec = method if method == SUPERVISED else f"{method}:{settings['nuisance']}"
+        if method == SUPERVISED:  # which fits no regression, so reads no nuisance
+            if values.get("nuisance") is not None:
+                raise ConfigError("nuisance cannot be given beside method sup")
+            settings["nuisance"] = None
         # simulate runs the supervised baseline beside the method; compare runs it anyway
         if command == "simulate":
             methods = tuple(dict.fromkeys((SUPERVISED, spec)))

@@ -110,11 +110,10 @@ def fold_posterior(
     ``draw`` is a coefficient row [intercept, coefficients...].  The bias
     component has location mean(Y - m(X)) over the labeled fold and squared
     scale var(Y - m(X)) / n_k; the imputed component is the analogue on the
-    unlabeled fold predictions.  Both use df = rows - 1.
-
-    ``fold_unlabeled`` is the fold's n_u x p unlabeled features, or the
-    draw's n_u predictions on them, as ``bdmi_cf`` gathers them block by
-    block.
+    predictions over ``fold_unlabeled``, the fold's n_u x p unlabeled
+    features.  Both use df = rows - 1.  This is the closed form on a
+    gathered fold; ``bdmi_cf`` reaches the same components, up to rounding,
+    from running summaries of the fold (see ``_fold_moments``).
     """
     y = np.asarray(fold_outcomes, dtype=float)
     n_k = y.shape[0]
@@ -124,8 +123,7 @@ def fold_posterior(
             f"fold {fold_id} needs >= 3 labeled and unlabeled rows, got ({n_k}, {n_u})"
         )
     mu_bias, scale_bias = _mean_and_scale_sq(y - _predict(draw, fold_features))
-    preds = fold_unlabeled if fold_unlabeled.ndim == 1 else _predict(draw, fold_unlabeled)
-    mu_imp, scale_imp = _mean_and_scale_sq(preds)
+    mu_imp, scale_imp = _mean_and_scale_sq(_predict(draw, fold_unlabeled))
     return FoldPosterior(
         t_bias=TComponent(df=n_k - 1, location=mu_bias, scale_sq=scale_bias),
         t_imputed=TComponent(df=n_u - 1, location=mu_imp, scale_sq=scale_imp),
@@ -203,15 +201,17 @@ def unlabeled_pass(unlabeled, started: list) -> list[EstimationResult]:
 
 
 def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, rng):
-    """The start of ``bdmi`` and ``hbdmi``: the fold plan and every fold's fit.
+    """The fold loop of ``bdmi`` and ``hbdmi``: the fold plan, every fold's fit and summaries.
 
     Each fold fits the nuisance on its labeled complement, and
-    ``start_fold(fit, k, labeled_rows, n_draws, fold_rng)`` returns
-    ``add(block, rows)``, given each block of unlabeled rows and the fold's
-    rows in it, and ``finish()``, which returns the fold's n_draws posterior
-    samples, its bias and imputed locations at the point estimate, and its
-    diagnostics.  Aggregated draws are the across-fold averages; the point
-    estimate is the size-weighted combination of the fold locations.
+    ``start_fold(fit, n_draws, fold_rng)`` returns ``columns(features)``,
+    the columns the fold keeps a ``_Scatter`` of, labeled as [y, columns]
+    and unlabeled block by block; ``rows()``, the coefficient rows whose
+    ``_fold_moments`` it takes, the last for the point estimate; and
+    ``sample(n_k, n_u, *moments)``, which returns the fold's n_draws
+    posterior samples and diagnostics.  Aggregated draws are the across-fold
+    averages; the point estimate is the size-weighted combination of the
+    fold locations.
     """
     n_draws = _check_draw_count(n_draws)
     plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
@@ -229,23 +229,29 @@ def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, 
             exc.args = (f"fold {k}: {exc}",)
             raise
         sizes = {"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u)}
-        folds.append((*start_fold(fit, k, test_l, n_draws, fold_rng), sizes, fit.metadata))
+        metadata = fit.metadata
+        columns, rows, sample = start_fold(fit, n_draws, fold_rng)
         del fit  # the fold's start kept what it needs, so the next fit does not wait beside it
+        fold = np.column_stack([data.outcomes[test_l], columns(data.features[test_l])])
+        labeled, unlabeled = _Scatter(fold.shape[1]), _Scatter(fold.shape[1] - 1)
+        labeled.add(fold, np.arange(len(test_l)))
+        folds.append((columns, rows, sample, labeled, unlabeled, sizes, metadata))
 
     def add(block, start):
         labels = fold_of[start : start + len(block)]
-        for k, (add_fold, *_) in enumerate(folds):
-            add_fold(block, np.flatnonzero(labels == k))
+        for k, (columns, _, _, _, unlabeled, _, _) in enumerate(folds):
+            unlabeled.add(columns(block), np.flatnonzero(labels == k))
 
     def finish():
         per_fold = np.empty((len(folds), n_draws))
         bias_total = 0.0
         imputed_total = 0.0
         fold_diags = []
-        for k, (_, finish_fold, sizes, metadata) in enumerate(folds):
-            per_fold[k], bias, imputed, diag = finish_fold()
-            bias_total += sizes["n_labeled"] * bias
-            imputed_total += sizes["n_unlabeled"] * imputed
+        for k, (_, rows, sample, labeled, unlabeled, sizes, metadata) in enumerate(folds):
+            moments = _fold_moments(rows(), labeled, unlabeled)
+            per_fold[k], diag = sample(labeled.count, unlabeled.count, *moments)
+            bias_total += sizes["n_labeled"] * float(moments[0][-1])
+            imputed_total += sizes["n_unlabeled"] * float(moments[2][-1])
             fold_diags.append({**sizes, **diag, "nuisance": metadata})
         diagnostics = _base_diagnostics(method, data, rng, n_draws, alpha)
         diagnostics["n_folds"] = len(folds)
@@ -257,23 +263,21 @@ def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, 
 
 
 def _start_bdmi(data, fitter, n_folds, n_draws, alpha, rng):
-    def start_fold(fit, k, test_l, n_draws, fold_rng):
+    def start_fold(fit, n_draws, fold_rng):
         draw = _check_width(fit.sample_many(1, fold_rng.substream(_NUISANCE_DRAW)), data.p)[0]
-        preds = []
 
-        def finish():
-            fp = fold_posterior(data.outcomes[test_l], data.features[test_l],
-                                np.concatenate(preds), draw, fold_id=k)
-            draws = sample_convolution(
-                fp.t_bias, fp.t_imputed, n_draws, fold_rng.substream(_THETA_BIAS)
-            )
+        def sample(n_k, n_u, mu_bias, scale_bias, mu_imp, scale_imp):
+            t_bias = TComponent(n_k - 1, float(mu_bias[0]), float(scale_bias[0]))
+            t_imputed = TComponent(n_u - 1, float(mu_imp[0]), float(scale_imp[0]))
+            draws = sample_convolution(t_bias, t_imputed, n_draws, fold_rng.substream(_THETA_BIAS))
             # bias_df, bias_location, bias_scale_sq, and the same for imputed
             diag = {f"{side}_{key}": value
-                    for side, comp in (("bias", fp.t_bias), ("imputed", fp.t_imputed))
+                    for side, comp in (("bias", t_bias), ("imputed", t_imputed))
                     for key, value in asdict(comp).items()}
-            return draws, fp.t_bias.location, fp.t_imputed.location, diag
+            return draws, diag
 
-        return (lambda block, local: preds.append(_predict(draw, block)[local])), finish
+        # one column, the draw's predictions, whose moments the row (0, 1) takes
+        return (lambda X: _predict(draw, X)[:, None]), (lambda: np.array([[0.0, 1.0]])), sample
 
     return _start_cross_fit("bdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
 
@@ -287,11 +291,12 @@ def bdmi_cf(data: Dataset, n_folds: int, fitter: Fitter, n_draws: int, alpha: fl
     regression function, forms the fold's t-convolution posterior on the
     held-out rows, and contributes n_draws samples; aggregated draws are the
     across-fold averages.  The draw is evaluated over each block of
-    unlabeled rows and the fold keeps its own rows' predictions, so the
-    unlabeled rows enter only through those N predictions.  The point
-    estimate is the size-weighted closed-form combination of the fold
-    centers, which equals the grand means of the residuals over the labeled
-    data and the predictions over the unlabeled data.
+    unlabeled rows, and the fold merges its rows' predictions into a running
+    mean and R factor (``_Scatter``), as ``hbdmi_cf`` merges its features; so
+    its t components are ``fold_posterior``'s on the gathered fold, up to
+    rounding.  The point estimate is the size-weighted combination of the
+    fold centers: the grand means of the residuals over the labeled data and
+    the predictions over the unlabeled data.
     """
     started = _start_bdmi(data, fitter, n_folds, n_draws, alpha, rng)
     return unlabeled_pass(data.unlabeled_features, [started])[0]
@@ -340,7 +345,8 @@ def _fold_moments(
     """Per-draw fold moments of many linear draws, from two small R factors.
 
     ``labeled`` holds the fold's [y, X] rows and ``unlabeled`` its unlabeled
-    rows.  For a draw (a, b) the labeled residuals y - a - X b have mean
+    rows; X is the features, or one column of a draw's predictions, whose
+    moments the row (0, 1) takes.  For a draw (a, b) the labeled residuals y - a - X b have mean
     ybar - a - b'xbar and sample variance |R_l (1, -b)|^2 / (n_k - 1), with
     R_l the R factor of the centred [y, X] rows; the unlabeled predictions
     have mean a + b'xbar_u and variance |R_u b|^2 / (n_u - 1).  Householder
@@ -384,36 +390,24 @@ def _rows_after_the_pass(fit, draw, n_rows: int, p: int):
 
 
 def _start_hbdmi(data, fitter, n_folds, n_draws, alpha, rng):
-    labeled = np.column_stack([data.outcomes, data.features])
-
-    def start_fold(fit, k, test_l, n_draws, fold_rng):
+    def start_fold(fit, n_draws, fold_rng):
         mean_row = _check_width(fit.posterior_mean(), data.p)
 
         def draw():
             return np.vstack([_check_width(
                 fit.sample_many(n_draws, fold_rng.substream(_NUISANCE_DRAW)), data.p), mean_row])
 
-        rows = _rows_after_the_pass(fit, draw, n_draws + 1, data.p)
-        labeled_scatter, unlabeled_scatter = _Scatter(data.p + 1), _Scatter(data.p)
-        labeled_scatter.add(labeled, test_l)
-
-        def finish():
-            mu_bias, scale_bias, mu_imp, scale_imp = _fold_moments(
-                rows(), labeled_scatter, unlabeled_scatter
-            )
+        def sample(n_k, n_u, mu_bias, scale_bias, mu_imp, scale_imp):
             draws = sample_student_t_each(
-                len(test_l) - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
+                n_k - 1, mu_bias[:-1], scale_bias[:-1], fold_rng.substream(_THETA_BIAS)
             ) + sample_student_t_each(
-                unlabeled_scatter.count - 1, mu_imp[:-1], scale_imp[:-1],
-                fold_rng.substream(_THETA_IMPUTED),
+                n_u - 1, mu_imp[:-1], scale_imp[:-1], fold_rng.substream(_THETA_IMPUTED)
             )
-            diag = {
-                "bias_location_mean": float(mu_bias[:-1].mean()),
-                "imputed_location_mean": float(mu_imp[:-1].mean()),
-            }
-            return draws, float(mu_bias[-1]), float(mu_imp[-1]), diag
+            return draws, {"bias_location_mean": float(mu_bias[:-1].mean()),
+                           "imputed_location_mean": float(mu_imp[:-1].mean())}
 
-        return unlabeled_scatter.add, finish
+        rows = _rows_after_the_pass(fit, draw, n_draws + 1, data.p)
+        return (lambda X: X), rows, sample
 
     return _start_cross_fit("hbdmi", start_fold, data, n_folds, fitter, n_draws, alpha, rng)
 

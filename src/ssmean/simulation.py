@@ -304,7 +304,7 @@ def _replicate(design: SimDesign, rep: int, keep_draws: bool) -> list[tuple]:
                 spec, data, design.n_folds, design.n_draws, design.alpha,
                 design.gibbs, rep_rng.substream(i + 1),
             )
-        except SsmeanError as exc:
+        except (SsmeanError, FloatingPointError) as exc:
             exc.args = (f"replication {rep}, method {spec}: {exc}",)
             raise
         out.append((result.point_estimate, *result.ci, result.draws if keep_draws else None))

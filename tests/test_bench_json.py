@@ -152,8 +152,9 @@ def _series_checkout(root: Path, series: dict) -> Path:
 def test_second_checkout_is_compared_with_the_first_pair_by_pair(bench_json, tmp_path,
                                                                   monkeypatch):
     # wall_s: 9 of 10 repeats lower by 0.8, the median by 0.7, against a first-checkout
-    # q3 - q1 of 0.55; peak_rss_mb: 0.5 higher in every repeat, beyond its 0.1 bound;
-    # score: higher is better, and it reads 0.1 higher in every repeat, far inside its spread
+    # q3 - q1 of 0.55; peak_rss_mb: 0.5 higher in every repeat, inside its bound of 10% of
+    # the first median (4.45); score: higher is better, and it reads 0.1 higher in every
+    # repeat, far inside its spread
     first = [{"wall_s": 1.0 + 0.1 * i, "peak_rss_mb": 40.0 + i, "score": 5.0 + i}
              for i in range(10)]
     second = [{"wall_s": run["wall_s"] + (0.1 if i == 4 else -0.8),
@@ -183,7 +184,7 @@ def test_second_checkout_is_compared_with_the_first_pair_by_pair(bench_json, tmp
     rss = clear["peak_rss_mb"]
     assert (rss["better"], rss["worse"], rss["equal"]) == (0, 10, 0)
     assert rss["median_difference"] == pytest.approx(0.5)
-    assert rss["gain_shown"] is False and rss["worse_than_bound"] is True
+    assert rss["gain_shown"] is False and rss["worse_than_bound"] is False
     score = clear["score"]
     assert (score["better"], score["worse"]) == (10, 0)
     assert score["median_difference"] == pytest.approx(0.1)
@@ -205,3 +206,19 @@ def test_versus_first_of_equal_runs_shows_nothing(bench_json):
     assert wall["gain_shown"] is False and wall["worse_than_bound"] is False
     # a metric that only one side reports is left out
     assert bench_json.versus(runs, [{"error": "exit 1"}] * 4, END_TO_END[:1]) == {}
+
+
+@pytest.mark.parametrize("metric, after, worse", [
+    ("peak_rss_mb", 43.9, False),  # +9.75% of 40, inside 0.1
+    ("peak_rss_mb", 44.5, True),  # +11.25%
+    ("wall_s", 1.2, False),  # +20% of 1.0, inside 0.25
+    ("wall_s", 1.3, True),
+    ("score", 0.5, False),  # higher is better: 50% below 1.0, inside 1.0
+    ("score", -0.5, True),
+], ids=["rss-inside", "rss-beyond", "wall-inside", "wall-beyond", "score-inside",
+        "score-beyond"])
+def test_a_bound_is_a_share_of_the_first_median(bench_json, metric, after, worse):
+    before = {"peak_rss_mb": 40.0, "wall_s": 1.0, "score": 1.0}[metric]
+    runs = [[{"metrics": {metric: {"value": value}}}] * 4 for value in (before, after)]
+    spec = [row for row in END_TO_END if row["name"] == metric]
+    assert bench_json.versus(*runs, spec)[metric]["worse_than_bound"] is worse

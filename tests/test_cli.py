@@ -154,13 +154,21 @@ class TestConfigFaults:
              "method cannot be given beside methods"),
             ("simulate", {**SMALL_STUDY, "methods": ["sup"]}, ["--nuisance", "bols"],
              "nuisance cannot be given beside methods"),
+            # sup fits no regression, so its nuisance would be ignored
+            ("estimate", {"method": "sup"}, ["--nuisance", "bogus"],
+             "nuisance cannot be given beside method sup"),
+            ("compare", {}, ["--method", "sup", "--nuisance", "bols"],
+             "nuisance cannot be given beside method sup"),
+            ("simulate", {**SMALL_STUDY, "method": "sup", "nuisance": "bols"}, [],
+             "nuisance cannot be given beside method sup"),
         ],
         ids=["s-above-p", "kind", "slab-scale", "nuisance-estimate", "nuisance-compare",
              "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled",
              "compare-duplicate", "simulate-duplicate", "estimate-jobs", "compare-jobs",
              "constant-inf", "constant--inf", "constant-nan", "constant-1e400",
              "compare-method-flags", "compare-nuisance-file", "simulate-method-file",
-             "simulate-nuisance-flag"],
+             "simulate-nuisance-flag", "estimate-sup-nuisance", "compare-sup-nuisance",
+             "simulate-sup-nuisance"],
     )
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):
@@ -238,6 +246,8 @@ class TestEstimateCommand:
         assert lo < 2.0 < hi
         assert report["config"]["seed"] == 4
         assert report["schema"] == 1
+        # sup reads no nuisance, so the echo names none and reruns as it stands
+        assert "nuisance" not in report["config"] and report["config"]["method"] == "sup"
 
     def test_bdmi_constant_nuisance_cancels(self, tmp_path):
         labeled, unlabeled, data = _synthetic_csvs(tmp_path)
@@ -645,6 +655,9 @@ def test_an_overflow_prints_one_line_and_no_warning(tmp_path, probe):
     assert done.returncode == 4
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ssmean: numerical failure:"), done.stderr
+    if probe != "estimate-constant":
+        # the study says where it failed, as it does for ssmean's own errors
+        assert "replication 0, method sup:" in lines[0], done.stderr
 
 
 def test_cli_and_fits_load_no_scipy():

@@ -28,7 +28,7 @@ from ssmean import (
 )
 from ssmean.nuisance import EmpiricalPosterior, MultivariateTPosterior, constant_nuisance
 from ssmean.errors import DimensionMismatchError, InsufficientDataError, InvalidParameterError
-from ssmean.data import BLOCK_ROWS, row_blocks
+from ssmean.data import BLOCK_ROWS, make_fold_plan, row_blocks
 from ssmean.estimators import _fold_moments, _Scatter
 from ssmean.simulation import signal_coefficients
 
@@ -122,23 +122,9 @@ class TestFoldPosterior:
             )
         with pytest.raises(InsufficientDataError):
             fold_posterior(
-                np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros(2),
+                np.array([1.0, 2.0, 3.0]), np.zeros((3, 1)), np.zeros((2, 1)),
                 zero_nuisance(1).posterior_mean(),
             )
-
-    def test_unlabeled_rows_of_the_whole_matrix_match_the_gathered_fold(self):
-        gen = RNG.substream(2).generator()
-        y, X = gen.normal(size=8), gen.normal(size=(8, 3))
-        Xu = 50.0 + gen.normal(size=(41, 3))
-        rows = np.sort(gen.choice(41, size=13, replace=False))
-        draw = np.array([-2.5, 0.4, -1.2, 3.0])
-        gathered = fold_posterior(y, X, Xu[rows], draw, fold_id=3)
-        indexed = fold_posterior(y, X, (Xu @ draw[1:] + draw[0])[rows], draw, fold_id=3)
-        assert indexed.t_bias == gathered.t_bias
-        assert indexed.fold_id == 3 and indexed.t_imputed.df == 12
-        # a row's product may round differently at another position in the matrix
-        assert indexed.t_imputed.location == pytest.approx(gathered.t_imputed.location, rel=1e-14)
-        assert indexed.t_imputed.scale_sq == pytest.approx(gathered.t_imputed.scale_sq, rel=1e-12)
 
     def test_oracle_regression_recovers_design_variances(self):
         # with the true mean plugged in over all rows, n * tau^2 -> sigma0^2 + (n/N) Var(m0)
@@ -242,10 +228,36 @@ class TestBdmiCf:
         result = bdmi_cf(data, 4, _zero_fitter, 200, 0.05, RNG.substream(8))
         assert "warning_n_ge_unlabeled" in result.diagnostics
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_fold_components_match_fold_posterior_on_the_gathered_fold(self, offset):
+        # each fold's running summaries, merged over blocks of the whole matrix, give the
+        # t components of the closed form on the fold's gathered rows, up to rounding
+        base = _toy_dataset(seed=26, n=80, n_unlabeled=3 * BLOCK_ROWS + 7, p=3)
+        data = Dataset(base.outcomes, base.features + offset, base.unlabeled_features + offset)
+        fitter, rng = make_fitter("bols"), RngStream(26, 1)
+        result = bdmi_cf(data, 4, fitter, 200, 0.05, rng)
+        plan = make_fold_plan(data.n, data.n_unlabeled, 4, rng.substream(0))
+        for k, (train, test_l, test_u) in enumerate(
+            zip(plan.train_sets, plan.labeled_folds, plan.unlabeled_folds)
+        ):
+            fold_rng = rng.substream(k + 1)
+            fit = fitter(data.features[train], data.outcomes[train],
+                         fold_rng.substream(ssmean.estimators._FIT))
+            draw = fit.sample_many(1, fold_rng.substream(ssmean.estimators._NUISANCE_DRAW))[0]
+            fp = fold_posterior(data.outcomes[test_l], data.features[test_l],
+                                data.unlabeled_features[test_u], draw, fold_id=k)
+            diag = result.diagnostics["folds"][k]
+            for side, comp in (("bias", fp.t_bias), ("imputed", fp.t_imputed)):
+                assert diag[f"{side}_df"] == comp.df
+                for key in ("location", "scale_sq"):
+                    assert diag[f"{side}_{key}"] == pytest.approx(getattr(comp, key), rel=1e-12,
+                                                                  abs=0.0), (k, side, key)
+
     def test_holds_no_fold_of_the_unlabeled_matrix(self):
-        # each fold's draw is evaluated over the whole matrix into one vector of
-        # length N; with the fold plan's N row indices, the traced peak stays below
-        # half of one fold's N/K x p gather at the benchmark's width p = 50
+        # each fold's draw is evaluated block by block and its rows' predictions merged
+        # into a running mean and R factor; with the fold plan's N row indices, the
+        # traced peak (687 KB, set by those indices) stays below half of one fold's
+        # N/K x p gather at the benchmark's width p = 50
         data = _toy_dataset(seed=16, n=200, n_unlabeled=40_000, p=50)
         k = 5
         tracemalloc.start()

@@ -103,3 +103,49 @@ def test_a_failed_command_fails(report_digest, tmp_path, capsys):
     assert run["exit_code"] == 3 and run["files"] == {}
     assert "one:" in err and "exited 3" in err
     assert payload["workloads"]["two"]["runs"][0]["exit_code"] == 0
+
+
+JSON_WORKLOADS = """\
+WORKLOADS = {"one": {}}
+
+def cli_args(workload, seed, work):
+    return [workload, str(seed), work]
+
+def report_files(workload, work):
+    return [f"{work}/out/report.json"]
+"""
+
+# a report of nested numbers; a changed checkout moves one leaf
+JSON_CLI = """\
+import json, pathlib, sys
+workload, seed, work = sys.argv[1:4]
+report = {{"work": work, "ok": True, "results": {{"bdmi": {{"ci": [1.0, 2.0]}},
+                                               "sup": {{"point": 3.0, "n": 7}}}}}}
+report["results"]["bdmi"]["ci"][1] *= {scale!r}
+out = pathlib.Path(work, "out")
+out.mkdir()
+(out / "report.json").write_text(json.dumps(report))
+"""
+
+
+def _json_checkout(root: Path, scale: float) -> Path:
+    checkout = _stub_checkout(root)
+    (checkout / "perfbench" / "workloads.py").write_text(JSON_WORKLOADS)
+    (checkout / "src" / "ssmean" / "cli.py").write_text(JSON_CLI.format(scale=scale))
+    return checkout
+
+
+def test_a_changed_json_report_says_how_far_it_moved(report_digest, tmp_path, capsys):
+    a = _json_checkout(tmp_path / "a", 1.0)
+    b = _json_checkout(tmp_path / "b", 1.0 + 2.0**-40)
+    code, payload, err = _run(report_digest, capsys, a, b)
+    assert code == 1
+    entry = payload["workloads"]["one"]
+    assert entry["differing"] == ["out/report.json"]
+    moved = entry["moved"]["out/report.json"]
+    assert moved["leaf"] == "results/bdmi/ci/1"
+    assert moved["max_relative_difference"] == pytest.approx(2.0**-40, rel=1e-6)
+    assert "largest relative difference 9.09e-13 at results/bdmi/ci/1" in err
+    # equal reports move nothing
+    code, payload, _ = _run(report_digest, capsys, a, _json_checkout(tmp_path / "c", 1.0))
+    assert code == 0 and payload["workloads"]["one"]["moved"] == {}

@@ -23,7 +23,8 @@ difference of the medians (this one's minus the first's, over all completed
 runs); the first checkout's q3 - q1; ``gain_shown``, true when this checkout
 is better in at least 9 of 10 pairs and its median better by more than that
 spread; and ``worse_than_bound``, true when its median is worse by more than
-the metric's ``bound``.
+the metric's ``bound`` times the first checkout's median: a bound is a share
+of the median, so ``peak_rss_mb``'s 0.1 is 10%, not 0.1 MB.
 
 Each checkout's entry also records ``git rev-parse HEAD`` with a dirty flag
 and ``src_lines``, the line count of ``src/ssmean/*.py`` as ``wc -l`` sums
@@ -110,7 +111,7 @@ def versus(first: list, runs: list, end_to_end: list) -> dict:
             "first_iqr": spread,
             "gain_shown": bool(gaps) and 10 * better >= 9 * len(gaps)
                           and -sign * difference > spread,
-            "worse_than_bound": sign * difference > metric["bound"],
+            "worse_than_bound": sign * difference > metric["bound"] * abs(before["median"]),
         }
     return out
 

@@ -18,12 +18,16 @@ directory per checkout would give each checkout different bytes.  The
 digests therefore hold within one call, not across calls.
 
 It prints one JSON object: per workload, each checkout's exit code and
-digests, and the files whose digests differ.  It exits 1, naming those
-files (or the failed command) on stderr, when the checkouts disagree or a
-command fails; a change that must keep every report byte for byte passes it
-with the parent commit and the change as the two checkouts.  Without
-``--workload`` it runs every workload of the first checkout's
-``perfbench/workloads.py``.  Only the stdlib is imported.
+digests, and the files whose digests differ.  For a differing ``.json``
+report it also gives how far it moved: the largest relative difference
+|b - a| / max(|a|, |b|) between a numeric leaf of the first checkout's
+report and the same leaf of another's, and that leaf's path (keys and list
+indices joined by ``/``); a leaf that only some reports hold is left out.
+It exits 1, naming those files (or the failed command) on stderr, when the
+checkouts disagree or a command fails; a change that must keep every report
+byte for byte passes it with the parent commit and the change as the two
+checkouts.  Without ``--workload`` it runs every workload of the first
+checkout's ``perfbench/workloads.py``.  Only the stdlib is imported.
 """
 
 from __future__ import annotations
@@ -56,8 +60,11 @@ def _run(cmd: list[str], env: dict, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True)
 
 
-def digest_run(checkout: Path, wl, workload: str, seed: int, work: Path) -> dict:
-    """One workload of one checkout: its exit code and the sha256 of each report file."""
+def digest_run(checkout: Path, wl, workload: str, seed: int, work: Path) -> tuple[dict, dict]:
+    """One workload of one checkout: its exit code and the sha256 of each report file.
+
+    Also returns each ``.json`` report, parsed, by the same key.
+    """
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     env = dict(os.environ)
@@ -70,14 +77,44 @@ def digest_run(checkout: Path, wl, workload: str, seed: int, work: Path) -> dict
         cli = [sys.executable, "-m", "ssmean.cli", *wl.cli_args(workload, seed, str(work))]
         proc = _run(cli, env, work)
     out = {"checkout": str(checkout), "exit_code": proc.returncode, "files": {}}
+    documents = {}
     if proc.returncode != 0:
         out["error"] = proc.stderr[-2000:]
-        return out
+        return out, documents
     for name in wl.report_files(workload, str(work)):
         path = Path(name)
         key = path.relative_to(work).as_posix()
         out["files"][key] = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
-    return out
+        if path.suffix == ".json" and path.is_file():
+            documents[key] = json.loads(path.read_text())
+    return out, documents
+
+
+def numeric_leaves(value, path: str = ""):
+    """(path, number) for every number in a parsed JSON value; booleans are not numbers."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_leaves(item, f"{path}/{key}" if path else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from numeric_leaves(item, f"{path}/{index}" if path else str(index))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def largest_move(documents: list) -> dict:
+    """The largest relative difference of a numeric leaf from the first document, and its leaf."""
+    first = dict(numeric_leaves(documents[0]))
+    largest = {"max_relative_difference": 0.0, "leaf": None}
+    for document in documents[1:]:
+        for path, value in numeric_leaves(document):
+            base = first.get(path)
+            if base is None or value == base:
+                continue
+            relative = abs(value - base) / max(abs(value), abs(base))
+            if relative > largest["max_relative_difference"]:
+                largest = {"max_relative_difference": relative, "leaf": path}
+    return largest
 
 
 def compare(runs: list[dict]) -> list[str]:
@@ -102,10 +139,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
         work = Path(tmp) / "work"
         for workload in workloads:
-            runs = [digest_run(checkout, wl, workload, args.seed, work)
-                    for checkout, wl in zip(checkouts, modules)]
+            runs, documents = zip(*(digest_run(checkout, wl, workload, args.seed, work)
+                                    for checkout, wl in zip(checkouts, modules)))
             differing = compare(runs)
-            payload["workloads"][workload] = {"differing": differing, "runs": runs}
+            moved = {name: largest_move([docs[name] for docs in documents])
+                     for name in differing if all(name in docs for docs in documents)}
+            payload["workloads"][workload] = {"differing": differing, "moved": moved,
+                                              "runs": list(runs)}
             for run in runs:
                 if run["exit_code"] != 0:
                     ok = False
@@ -113,7 +153,12 @@ def main(argv: list[str] | None = None) -> int:
                           f"{run['exit_code']}", file=sys.stderr)
             for name in differing:
                 ok = False
-                print(f"report_digest: {workload}: {name} differs", file=sys.stderr)
+                how_far = ""
+                if name in moved:
+                    how_far = (f"; largest relative difference "
+                               f"{moved[name]['max_relative_difference']:.3g} "
+                               f"at {moved[name]['leaf']}")
+                print(f"report_digest: {workload}: {name} differs{how_far}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return 0 if ok else 1
 
