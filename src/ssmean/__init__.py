@@ -16,7 +16,7 @@ on one thread (see ``ssmean._blas``).
 import importlib
 
 _EXPORTS = {
-    "data": ("Dataset", "FoldPlan", "make_fold_plan", "validate_dataset"),
+    "data": ("Dataset", "make_fold_plan", "validate_dataset"),
     "estimators": ("EstimationResult", "FoldPosterior", "bdmi_cf", "credible_interval",
                    "fold_posterior", "hbdmi_cf", "imputation_posterior",
                    "supervised_posterior"),

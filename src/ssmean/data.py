@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -47,57 +47,42 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Disjoint K-way partitions of labeled and unlabeled row indices.
-
-    train_sets[k] is the labeled complement of labeled_folds[k]; every index
-    array is sorted so downstream reductions are order-deterministic.
-    """
-
-    n_folds: int
-    labeled_folds: list[np.ndarray] = field(repr=False)
-    unlabeled_folds: list[np.ndarray] = field(repr=False)
-    train_sets: list[np.ndarray] = field(repr=False)
-
-
-def _partition(count: int, n_folds: int, perm: np.ndarray) -> list[np.ndarray]:
-    # Remainder rows go one each to the lowest-numbered folds.
-    base, rem = divmod(count, n_folds)
-    folds = []
-    start = 0
-    for k in range(n_folds):
-        size = base + (1 if k < rem else 0)
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
-
-
-def make_fold_plan(n: int, n_unlabeled: int, n_folds: int, rng: RngStream) -> FoldPlan:
-    """Uniformly random K-way split of labeled and unlabeled indices.
-
-    Fold sizes within each side differ by at most one; folds of fewer than
-    three rows are rejected because the downstream per-fold posteriors need
-    at least two degrees of freedom.
-    """
+def check_folds(n: int, n_unlabeled: int, n_folds: int) -> int:
+    """The fold count as an int, checked to be >= 2 and to leave each fold MIN_FOLD_ROWS a side."""
     if n_folds < 2 or int(n_folds) != n_folds:
         raise InvalidParameterError(f"number of folds must be an integer >= 2, got {n_folds}")
-    if n // n_folds < MIN_FOLD_ROWS:
-        raise InsufficientDataError(
-            f"labeled side too small: {n} rows across {n_folds} folds leaves "
-            f"fewer than {MIN_FOLD_ROWS} per fold"
-        )
-    if n_unlabeled // n_folds < MIN_FOLD_ROWS:
-        raise InsufficientDataError(
-            f"unlabeled side too small: {n_unlabeled} rows across {n_folds} folds "
-            f"leaves fewer than {MIN_FOLD_ROWS} per fold"
-        )
+    n_folds = int(n_folds)
+    for side, count in (("labeled", n), ("unlabeled", n_unlabeled)):
+        if count // n_folds < MIN_FOLD_ROWS:
+            raise InsufficientDataError(
+                f"{side} side too small: {count} rows across {n_folds} folds leaves "
+                f"fewer than {MIN_FOLD_ROWS} per fold"
+            )
+    return n_folds
+
+
+def _fold_labels(perm: np.ndarray, n_folds: int) -> np.ndarray:
+    # consecutive runs of the permutation form the folds; the lowest take one remainder row each
+    base, rem = divmod(len(perm), n_folds)
+    labels = np.empty(len(perm), dtype=np.min_scalar_type(n_folds - 1))
+    labels[perm] = np.repeat(np.arange(n_folds, dtype=labels.dtype),
+                             [base + (k < rem) for k in range(n_folds)])
+    return labels
+
+
+def make_fold_plan(n: int, n_unlabeled: int, n_folds: int,
+                   rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random K-way split of the labeled and the unlabeled rows.
+
+    Returns each side's fold labels, one byte a row up to 256 folds: row i
+    of a side is in fold ``labels[i]``.  Fold sizes within each side differ
+    by at most one; ``check_folds`` rejects a count that leaves a fold too
+    small.
+    """
+    n_folds = check_folds(n, n_unlabeled, n_folds)
     gen = rng.generator()
-    labeled_folds = _partition(n, n_folds, gen.permutation(n))
-    unlabeled_folds = _partition(n_unlabeled, n_folds, gen.permutation(n_unlabeled))
-    all_labeled = np.arange(n)
-    train_sets = [np.setdiff1d(all_labeled, fold, assume_unique=True) for fold in labeled_folds]
-    return FoldPlan(int(n_folds), labeled_folds, unlabeled_folds, train_sets)
+    labeled = _fold_labels(gen.permutation(n), n_folds)
+    return labeled, _fold_labels(gen.permutation(n_unlabeled), n_folds)
 
 
 def row_blocks(unlabeled) -> Iterator[np.ndarray]:

@@ -214,32 +214,28 @@ def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, 
     fold locations.
     """
     n_draws = _check_draw_count(n_draws)
-    plan = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
-    # each unlabeled row's fold, a byte a row up to 256 folds where the plan's indices take 8
-    fold_of = np.empty(data.n_unlabeled, dtype=np.min_scalar_type(plan.n_folds - 1))
+    # each row's fold, a byte a row up to 256 folds
+    labeled_fold, fold_of = make_fold_plan(data.n, data.n_unlabeled, n_folds, rng.substream(0))
     folds = []
-    for k, (train, test_l, test_u) in enumerate(
-        zip(plan.train_sets, plan.labeled_folds, plan.unlabeled_folds)
-    ):
-        fold_of[test_u] = k
+    for k in range(int(n_folds)):
+        train, test = np.flatnonzero(labeled_fold != k), np.flatnonzero(labeled_fold == k)
         fold_rng = rng.substream(k + 1)
         try:
             fit = fitter(data.features[train], data.outcomes[train], fold_rng.substream(_FIT))
         except SsmeanError as exc:
             exc.args = (f"fold {k}: {exc}",)
             raise
-        sizes = {"fold": k, "n_labeled": len(test_l), "n_unlabeled": len(test_u)}
         metadata = fit.metadata
         columns, rows, sample = start_fold(fit, n_draws, fold_rng)
         del fit  # the fold's start kept what it needs, so the next fit does not wait beside it
-        fold = np.column_stack([data.outcomes[test_l], columns(data.features[test_l])])
+        fold = np.column_stack([data.outcomes[test], columns(data.features[test])])
         labeled, unlabeled = _Scatter(fold.shape[1]), _Scatter(fold.shape[1] - 1)
-        labeled.add(fold, np.arange(len(test_l)))
-        folds.append((columns, rows, sample, labeled, unlabeled, sizes, metadata))
+        labeled.add(fold, np.arange(len(test)))
+        folds.append((columns, rows, sample, labeled, unlabeled, metadata))
 
     def add(block, start):
         labels = fold_of[start : start + len(block)]
-        for k, (columns, _, _, _, unlabeled, _, _) in enumerate(folds):
+        for k, (columns, _, _, _, unlabeled, _) in enumerate(folds):
             unlabeled.add(columns(block), np.flatnonzero(labels == k))
 
     def finish():
@@ -247,12 +243,13 @@ def _start_cross_fit(method, start_fold, data, n_folds, fitter, n_draws, alpha, 
         bias_total = 0.0
         imputed_total = 0.0
         fold_diags = []
-        for k, (_, rows, sample, labeled, unlabeled, sizes, metadata) in enumerate(folds):
+        for k, (_, rows, sample, labeled, unlabeled, metadata) in enumerate(folds):
             moments = _fold_moments(rows(), labeled, unlabeled)
             per_fold[k], diag = sample(labeled.count, unlabeled.count, *moments)
-            bias_total += sizes["n_labeled"] * float(moments[0][-1])
-            imputed_total += sizes["n_unlabeled"] * float(moments[2][-1])
-            fold_diags.append({**sizes, **diag, "nuisance": metadata})
+            bias_total += labeled.count * float(moments[0][-1])
+            imputed_total += unlabeled.count * float(moments[2][-1])
+            fold_diags.append({"fold": k, "n_labeled": labeled.count,
+                               "n_unlabeled": unlabeled.count, **diag, "nuisance": metadata})
         diagnostics = _base_diagnostics(method, data, rng, n_draws, alpha)
         diagnostics["n_folds"] = len(folds)
         diagnostics["folds"] = fold_diags
@@ -506,3 +503,5 @@ def imputation_posterior(data: Dataset, fitter: Fitter, n_draws: int, alpha: flo
 # method's work before the unlabeled rows are read (see ``unlabeled_pass``)
 STARTS = {"sup": _start_supervised, "bdmi": _start_bdmi, "hbdmi": _start_hbdmi,
           "imp": _start_imputation}
+# the families whose start splits the rows into folds (``_start_cross_fit``)
+CROSS_FITTED = ("bdmi", "hbdmi")

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _blas
-from .data import Dataset
+from .data import Dataset, check_folds
 from .errors import InvalidParameterError, SsmeanError
 from .estimators import (
+    CROSS_FITTED,
     STARTS,
     EstimationResult,
     bdmi_cf,
@@ -113,7 +114,8 @@ class SimDesign:
         for spec in self.methods:
             if self.methods.count(spec) > 1:
                 raise InvalidParameterError(f"method {spec!r} is listed twice")
-            parse_method_spec(spec, self.gibbs)
+            if parse_method_spec(spec, self.gibbs)[0] in CROSS_FITTED:
+                check_folds(self.n, self.n_unlabeled, self.n_folds)
 
 
 def signal_coefficients(p: int, s: int) -> np.ndarray:

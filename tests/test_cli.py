@@ -161,6 +161,11 @@ class TestConfigFaults:
              "nuisance cannot be given beside method sup"),
             ("simulate", {**SMALL_STUDY, "method": "sup", "nuisance": "bols"}, [],
              "nuisance cannot be given beside method sup"),
+            # every number of the fold floor is in a simulate config
+            ("simulate", {**SMALL_STUDY, "n": 8}, [],
+             "labeled side too small: 8 rows across 3 folds"),
+            ("simulate", {**SMALL_STUDY, "n_unlabeled": 8, "methods": ["sup", "hbdmi:bols"]}, [],
+             "unlabeled side too small: 8 rows across 3 folds"),
         ],
         ids=["s-above-p", "kind", "slab-scale", "nuisance-estimate", "nuisance-compare",
              "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled",
@@ -168,7 +173,7 @@ class TestConfigFaults:
              "constant-inf", "constant--inf", "constant-nan", "constant-1e400",
              "compare-method-flags", "compare-nuisance-file", "simulate-method-file",
              "simulate-nuisance-flag", "estimate-sup-nuisance", "compare-sup-nuisance",
-             "simulate-sup-nuisance"],
+             "simulate-sup-nuisance", "simulate-n-fold-floor", "simulate-n-unlabeled-fold-floor"],
     )
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):

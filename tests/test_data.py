@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,16 +17,23 @@ from ssmean.errors import (
 RNG = RngStream(31337)
 
 
+# make_fold_plan(37, 53, 4, RngStream(31337).substream(5)), row by row: the folds the
+# earlier sorted-index-list form of the plan assigned on the same substream
+PINNED_LABELED = "0302330101231023321220300211120032113"
+PINNED_UNLABELED = "23023210231313303101000021010211113020302222333102132"
+
+
 def _sizes(plan):
-    return [len(f) for f in plan.labeled_folds], [len(f) for f in plan.unlabeled_folds]
+    return [np.bincount(labels).tolist() for labels in plan]
 
 
 class TestMakeFoldPlan:
     def test_divisible_case_complements(self):
-        plan = make_fold_plan(6, 6, 2, RNG)
-        assert _sizes(plan) == ([3, 3], [3, 3])
-        np.testing.assert_array_equal(plan.train_sets[0], plan.labeled_folds[1])
-        np.testing.assert_array_equal(plan.train_sets[1], plan.labeled_folds[0])
+        labeled, unlabeled = make_fold_plan(6, 6, 2, RNG)
+        assert _sizes((labeled, unlabeled)) == [[3, 3], [3, 3]]
+        # fold k trains on the labeled rows of every other fold, so fold 0's are fold 1's
+        np.testing.assert_array_equal(np.flatnonzero(labeled != 0), np.flatnonzero(labeled == 1))
+        np.testing.assert_array_equal(np.flatnonzero(labeled != 1), np.flatnonzero(labeled == 0))
 
     def test_remainder_rule(self):
         plan = make_fold_plan(10, 10000, 3, RNG)
@@ -33,7 +41,7 @@ class TestMakeFoldPlan:
 
     def test_paper_scale_sizes(self):
         plan = make_fold_plan(500, 10000, 5, RNG)
-        assert _sizes(plan) == ([100] * 5, [2000] * 5)
+        assert _sizes(plan) == [[100] * 5, [2000] * 5]
 
     def test_labeled_side_too_small(self):
         with pytest.raises(InsufficientDataError, match="labeled"):
@@ -50,8 +58,27 @@ class TestMakeFoldPlan:
     def test_determinism(self):
         a = make_fold_plan(37, 53, 4, RNG.substream(5))
         b = make_fold_plan(37, 53, 4, RNG.substream(5))
-        for fa, fb in zip(a.labeled_folds + a.unlabeled_folds, b.labeled_folds + b.unlabeled_folds):
+        for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
+
+    def test_pinned_assignment(self):
+        # pins the substream's layout: the permutations and the runs that form the folds
+        labeled, unlabeled = make_fold_plan(37, 53, 4, RngStream(31337).substream(5))
+        assert labeled.dtype == unlabeled.dtype == np.uint8
+        assert "".join(map(str, labeled)) == PINNED_LABELED
+        assert "".join(map(str, unlabeled)) == PINNED_UNLABELED
+
+    def test_holds_a_byte_an_unlabeled_row(self):
+        # the plan is one label a row; index lists and their training complements took 8
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            plan = make_fold_plan(200, 40_000, 5, RNG.substream(9))
+            held = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 40_000, f"the plan holds {held / 40_000:.2f} bytes an unlabeled row"
+        assert _sizes(plan)[1] == [8000] * 5
 
     @given(
         n=st.integers(6, 120),
@@ -66,15 +93,18 @@ class TestMakeFoldPlan:
                 make_fold_plan(n, n_unlabeled, n_folds, RngStream(seed))
             return
         plan = make_fold_plan(n, n_unlabeled, n_folds, RngStream(seed))
-        for folds, total in ((plan.labeled_folds, n), (plan.unlabeled_folds, n_unlabeled)):
-            combined = np.concatenate(folds)
-            assert len(combined) == total
-            assert len(np.unique(combined)) == total  # disjoint and exhaustive
-            sizes = [len(f) for f in folds]
+        for labels, total in zip(plan, (n, n_unlabeled)):
+            # one label a row: disjoint and exhaustive
+            assert labels.shape == (total,) and labels.min() >= 0 and labels.max() < n_folds
+            sizes = np.bincount(labels, minlength=n_folds)
             assert max(sizes) - min(sizes) <= 1
+            # remainder rows go one each to the lowest-numbered folds
+            assert sizes.tolist() == sorted(sizes, reverse=True)
+        labeled = plan[0]
         for k in range(n_folds):
-            assert np.intersect1d(plan.train_sets[k], plan.labeled_folds[k]).size == 0
-            assert len(plan.train_sets[k]) + len(plan.labeled_folds[k]) == n
+            train, test = np.flatnonzero(labeled != k), np.flatnonzero(labeled == k)
+            assert np.intersect1d(train, test).size == 0
+            assert len(train) + len(test) == n
 
 
 class TestValidateDataset:

@@ -236,10 +236,11 @@ class TestBdmiCf:
         data = Dataset(base.outcomes, base.features + offset, base.unlabeled_features + offset)
         fitter, rng = make_fitter("bols"), RngStream(26, 1)
         result = bdmi_cf(data, 4, fitter, 200, 0.05, rng)
-        plan = make_fold_plan(data.n, data.n_unlabeled, 4, rng.substream(0))
-        for k, (train, test_l, test_u) in enumerate(
-            zip(plan.train_sets, plan.labeled_folds, plan.unlabeled_folds)
-        ):
+        labeled_fold, unlabeled_fold = make_fold_plan(data.n, data.n_unlabeled, 4,
+                                                      rng.substream(0))
+        for k in range(4):
+            train, test_l = np.flatnonzero(labeled_fold != k), np.flatnonzero(labeled_fold == k)
+            test_u = np.flatnonzero(unlabeled_fold == k)
             fold_rng = rng.substream(k + 1)
             fit = fitter(data.features[train], data.outcomes[train],
                          fold_rng.substream(ssmean.estimators._FIT))
@@ -255,9 +256,10 @@ class TestBdmiCf:
 
     def test_holds_no_fold_of_the_unlabeled_matrix(self):
         # each fold's draw is evaluated block by block and its rows' predictions merged
-        # into a running mean and R factor; with the fold plan's N row indices, the
-        # traced peak (687 KB, set by those indices) stays below half of one fold's
-        # N/K x p gather at the benchmark's width p = 50
+        # into a running mean and R factor; the traced peak (413 KB, where the fold plan's
+        # index lists gave 687 KB) is set by the unlabeled permutation, 8 bytes a row while
+        # the plan's labels are filled, and stays below half of one fold's N/K x p gather
+        # at the benchmark's width p = 50
         data = _toy_dataset(seed=16, n=200, n_unlabeled=40_000, p=50)
         k = 5
         tracemalloc.start()

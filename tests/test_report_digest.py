@@ -149,3 +149,37 @@ def test_a_changed_json_report_says_how_far_it_moved(report_digest, tmp_path, ca
     # equal reports move nothing
     code, payload, _ = _run(report_digest, capsys, a, _json_checkout(tmp_path / "c", 1.0))
     assert code == 0 and payload["workloads"]["one"]["moved"] == {}
+
+
+CSV_WORKLOADS = JSON_WORKLOADS.replace("report.json", "density.csv")
+
+# a density CSV, as simulate writes one; a changed checkout moves one cell
+CSV_CLI = """\
+import pathlib, sys
+workload, seed, work = sys.argv[1:4]
+rows = [["replication", "grid_point", "density"], [0, 1.5, 0.25], [0, 2.5, 0.5], [1, 1.5, ""]]
+rows[2][2] *= {scale!r}
+out = pathlib.Path(work, "out")
+out.mkdir()
+(out / "density.csv").write_text("".join(",".join(map(str, row)) + "\\n" for row in rows))
+"""
+
+
+def test_a_changed_csv_report_says_how_far_it_moved(report_digest, tmp_path, capsys):
+    def checkout(name, scale):
+        root = _stub_checkout(tmp_path / name)
+        (root / "perfbench" / "workloads.py").write_text(CSV_WORKLOADS)
+        (root / "src" / "ssmean" / "cli.py").write_text(CSV_CLI.format(scale=scale))
+        return root
+
+    a = checkout("a", 1.0)
+    code, payload, err = _run(report_digest, capsys, a, checkout("b", 1.0 + 2.0**-40))
+    assert code == 1
+    entry = payload["workloads"]["one"]
+    assert entry["differing"] == ["out/density.csv"]
+    moved = entry["moved"]["out/density.csv"]
+    assert moved["leaf"] == "1/density"  # the second row after the header
+    assert moved["max_relative_difference"] == pytest.approx(2.0**-40, rel=1e-6)
+    assert "out/density.csv differs; largest relative difference 9.09e-13 at 1/density" in err
+    code, payload, _ = _run(report_digest, capsys, a, checkout("c", 1.0))
+    assert code == 0 and payload["workloads"]["one"]["moved"] == {}

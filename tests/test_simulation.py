@@ -15,7 +15,7 @@ from ssmean import (
     oracle_ore_star,
     run_replications,
 )
-from ssmean.errors import InvalidParameterError
+from ssmean.errors import InsufficientDataError, InvalidParameterError
 from ssmean.simulation import DENSITY_GRID_SIZE, signal_coefficients, true_theta
 
 RNG = RngStream(424242)
@@ -54,6 +54,12 @@ class TestDesign:
     def test_spec_rejected_at_construction(self, methods, named):
         with pytest.raises(InvalidParameterError, match=named):
             _design(methods=methods)
+
+    def test_fold_floor_checked_only_with_folds(self):
+        # sup and imp split no rows, so a design too small for 3 folds still runs them
+        _design(n=8, n_unlabeled=8, methods=("sup", "imp:bols"))
+        with pytest.raises(InsufficientDataError, match="labeled side too small"):
+            _design(n=8, n_unlabeled=8, methods=("sup", "imp:bols", "hbdmi:bols"))
 
     def test_true_theta(self):
         assert true_theta(_design(p=4, s=2)) == 5.0

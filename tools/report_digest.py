@@ -18,11 +18,13 @@ directory per checkout would give each checkout different bytes.  The
 digests therefore hold within one call, not across calls.
 
 It prints one JSON object: per workload, each checkout's exit code and
-digests, and the files whose digests differ.  For a differing ``.json``
-report it also gives how far it moved: the largest relative difference
-|b - a| / max(|a|, |b|) between a numeric leaf of the first checkout's
-report and the same leaf of another's, and that leaf's path (keys and list
-indices joined by ``/``); a leaf that only some reports hold is left out.
+digests, and the files whose digests differ.  For a differing ``.json`` or
+``.csv`` report it also gives how far it moved: the largest relative
+difference |b - a| / max(|a|, |b|) between a numeric leaf of the first
+checkout's report and the same leaf of another's, and that leaf's path (keys
+and list indices joined by ``/``); a leaf that only some reports hold is
+left out.  A CSV's leaves are its cells that parse as numbers, at the path
+``row/column``: the row's index after the header, and the column's header.
 It exits 1, naming those files (or the failed command) on stderr, when the
 checkouts disagree or a command fails; a change that must keep every report
 byte for byte passes it with the parent commit and the change as the two
@@ -33,6 +35,7 @@ checkout's ``perfbench/workloads.py``.  Only the stdlib is imported.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import json
@@ -63,7 +66,7 @@ def _run(cmd: list[str], env: dict, cwd: Path) -> subprocess.CompletedProcess:
 def digest_run(checkout: Path, wl, workload: str, seed: int, work: Path) -> tuple[dict, dict]:
     """One workload of one checkout: its exit code and the sha256 of each report file.
 
-    Also returns each ``.json`` report, parsed, by the same key.
+    Also returns each ``.json`` and ``.csv`` report, parsed (``read_report``), by the same key.
     """
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
@@ -85,9 +88,25 @@ def digest_run(checkout: Path, wl, workload: str, seed: int, work: Path) -> tupl
         path = Path(name)
         key = path.relative_to(work).as_posix()
         out["files"][key] = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
-        if path.suffix == ".json" and path.is_file():
-            documents[key] = json.loads(path.read_text())
+        if path.suffix in (".json", ".csv") and path.is_file():
+            documents[key] = read_report(path)
     return out, documents
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except (TypeError, ValueError):  # text, or a ragged row's missing or extra cells
+        return cell
+
+
+def read_report(path: Path):
+    """A JSON report parsed; a CSV report as its rows, dicts keyed by the header, numbers parsed."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as handle:
+        return [{name: _number(cell) for name, cell in row.items()}
+                for row in csv.DictReader(handle)]
 
 
 def numeric_leaves(value, path: str = ""):
