@@ -61,10 +61,13 @@ def check_folds(n: int, n_unlabeled: int, n_folds: int) -> int:
     return n_folds
 
 
-def _fold_labels(perm: np.ndarray, n_folds: int) -> np.ndarray:
+def _fold_labels(gen: np.random.Generator, count: int, n_folds: int) -> np.ndarray:
+    # gen.permutation(count)'s draws, shuffled in place at the smallest dtype rather than int64;
     # consecutive runs of the permutation form the folds; the lowest take one remainder row each
-    base, rem = divmod(len(perm), n_folds)
-    labels = np.empty(len(perm), dtype=np.min_scalar_type(n_folds - 1))
+    perm = np.arange(count, dtype=np.min_scalar_type(count - 1))
+    gen.shuffle(perm)
+    base, rem = divmod(count, n_folds)
+    labels = np.empty(count, dtype=np.min_scalar_type(n_folds - 1))
     labels[perm] = np.repeat(np.arange(n_folds, dtype=labels.dtype),
                              [base + (k < rem) for k in range(n_folds)])
     return labels
@@ -81,8 +84,7 @@ def make_fold_plan(n: int, n_unlabeled: int, n_folds: int,
     """
     n_folds = check_folds(n, n_unlabeled, n_folds)
     gen = rng.generator()
-    labeled = _fold_labels(gen.permutation(n), n_folds)
-    return labeled, _fold_labels(gen.permutation(n_unlabeled), n_folds)
+    return _fold_labels(gen, n, n_folds), _fold_labels(gen, n_unlabeled, n_folds)
 
 
 def row_blocks(unlabeled) -> Iterator[np.ndarray]:

@@ -152,43 +152,6 @@ def _check_xy(features: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, n
     return X, y
 
 
-def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
-    """Flat-prior Gaussian linear regression.
-
-    The posterior of (intercept, coefficients) is multivariate t with
-    df = m - p - 1, centred at the least-squares solution, with squared-scale
-    matrix s^2 (X'X)^{-1} on the intercept-augmented design, where
-    s^2 = RSS / (m - p - 1).  An exact fit (RSS = 0) degenerates to a point
-    mass at the least-squares solution.
-    """
-    X, y = _check_xy(features, outcomes)
-    m, p = X.shape
-    d = p + 1
-    if m < p + 3:
-        raise SingularDesignError(
-            f"flat-prior regression needs at least p + 3 = {p + 3} rows, got {m}; "
-            "consider the ridge method"
-        )
-    design = np.column_stack([np.ones(m), X])
-    # R of [design, y] holds design's R and, in its last column, Q'y
-    r_aug = np.linalg.qr(np.column_stack([design, y]), mode="r")
-    r, qty = r_aug[:d, :d], r_aug[:d, d]
-    # the largest column norm is what a column-pivoted QR puts in |r_11|
-    tol = float(np.linalg.norm(design, axis=0).max()) * max(m, d) * np.finfo(float).eps
-    if np.linalg.svd(r, compute_uv=False)[-1] <= tol:
-        raise SingularDesignError(
-            "design matrix with intercept is rank deficient; consider the ridge method"
-        )
-    solved = np.linalg.solve(r, np.column_stack([qty, np.eye(d)]))
-    coef, r_inv = solved[:, 0], solved[:, 1:]
-    rss = float(np.sum((y - design @ coef) ** 2))
-    df = m - d
-    s2 = rss / df
-    factor = r_inv * math.sqrt(s2)  # (X'X)^{-1} = R^{-1} R^{-T}
-    meta = {"rss": rss, "sigma_sq_scale": s2, "n_rows": m, "n_features": p}
-    return MultivariateTPosterior("bols", df, coef, factor, meta)
-
-
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Column standardization with population (1/m) variance; flags kept columns."""
     xbar = X.mean(axis=0)
@@ -218,6 +181,54 @@ def _centred_problem(X: np.ndarray, y: np.ndarray) -> tuple:
     ybar = float(y.mean())
     meta = {"n_rows": X.shape[0], "n_features": X.shape[1], "dropped_columns": int((~keep).sum())}
     return Z, keep, ybar, y - ybar, _original_scale_map(xbar, sdev, keep), meta
+
+
+def _linear_fit(Z: np.ndarray, y: np.ndarray, lam: float) -> tuple:
+    """Regress y on [1, Z], penalty lam on Z's coefficients: (coef, R^{-1}, RSS), by one QR.
+
+    Ridge is least squares on [[1, Z], [0, sqrt(lam) I]] (Bjorck 1996), so the
+    R of [[1, Z, y], [0, sqrt(lam) I, 0]] holds R, Q'y and, in its last
+    diagonal entry, the root of the penalized RSS: a sum of squares, which
+    cannot cancel.  Unpenalized, R is refused when sigma_min(R) <=
+    sqrt(m) max(m, k + 1) eps; every column of [1, Z] has norm sqrt(m), so a
+    column's offset or unit does not move the decision.
+    """
+    m, k = Z.shape
+    aug = np.column_stack([np.ones(m), Z, y])
+    if lam > 0:  # which keeps R nonsingular
+        aug = np.vstack([aug, np.pad(math.sqrt(lam) * np.eye(k), ((0, 0), (1, 1)))])
+    r_aug = np.linalg.qr(aug, mode="r")
+    r = r_aug[: k + 1, : k + 1]
+    tol = math.sqrt(m) * max(m, k + 1) * np.finfo(float).eps
+    if lam == 0 and np.linalg.svd(r, compute_uv=False)[-1] <= tol:
+        raise SingularDesignError(
+            "design matrix with intercept is rank deficient; consider the ridge method"
+        )
+    solved = np.linalg.solve(r, np.column_stack([r_aug[: k + 1, -1], np.eye(k + 1)]))
+    return solved[:, 0], solved[:, 1:], float(r_aug[-1, -1]) ** 2
+
+
+def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
+    """Flat-prior Gaussian linear regression.
+
+    The posterior of (intercept, coefficients) is multivariate t with
+    df = m - k - 1 (k the columns that vary; a constant one gets coefficient
+    0), centred at the least-squares solution, with squared-scale matrix
+    s^2 (X'X)^{-1} on the intercept-augmented design, s^2 = RSS / df.  An
+    exact fit (RSS = 0) degenerates to a point mass there.
+    """
+    X, y = _check_xy(features, outcomes)
+    m, p = X.shape
+    if m < p + 3:
+        raise SingularDesignError(
+            f"flat-prior regression needs at least p + 3 = {p + 3} rows, got {m}; "
+            "consider the ridge method"
+        )
+    Z, _, _, _, T, meta = _centred_problem(X, y)
+    coef, r_inv, rss = _linear_fit(Z, y, 0.0)
+    df = m - Z.shape[1] - 1
+    meta.update(rss=rss, sigma_sq_scale=rss / df)  # (X'X)^{-1} = T R^{-1} R^{-T} T'
+    return MultivariateTPosterior("bols", df, T @ coef, T @ (r_inv * math.sqrt(rss / df)), meta)
 
 
 def _ridge_cv_lambda(Z: np.ndarray, y_scaled: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -260,7 +271,7 @@ def fit_bridge(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     m = X.shape[0]
     if m < 5:
         raise InsufficientDataError(f"ridge regression needs at least 5 rows, got {m}")
-    Z, _, ybar, y_c, T, meta = _centred_problem(X, y)
+    Z, _, ybar, _, T, meta = _centred_problem(X, y)
     k = Z.shape[1]
     if k == 0:  # no columns, or none that varies
         raise ValidationError("ridge regression needs a feature column with nonzero variance")
@@ -285,30 +296,13 @@ def fit_bridge(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     lam_tilde = float(grid[int(np.argmin(cv_errors))]) * s_y
     lam_hat = lam_tilde * m / s_y
 
-    A = Z.T @ Z + lam_hat * np.eye(k)
-    r_inv = np.linalg.inv(np.linalg.cholesky(A).T)  # A^{-1} = R^{-1} R^{-T}
-    zty = Z.T @ y_c
-    coef_std = r_inv @ (r_inv.T @ zty)
-    rss_term = float(y_c @ y_c - zty @ coef_std)
-    rss_term = max(rss_term, 0.0)
-    scale_mult = math.sqrt(rss_term / df)
-
-    loc_std = np.concatenate([[ybar], coef_std])
-    factor_std = np.zeros((1 + k, 1 + k))
-    factor_std[0, 0] = 1.0 / math.sqrt(m)
-    factor_std[1:, 1:] = r_inv
-    factor_std *= scale_mult
-
-    meta.update(
-        {
-            "lambda_hat": lam_hat,
-            "lambda_tilde": lam_tilde,
-            "lambda_grid": [float(grid[0]), float(grid[-1])],
-            "cv_folds": RIDGE_CV_FOLDS,
-            "outcome_sd": s_y,
-        }
-    )
-    return MultivariateTPosterior("bridge", df, T @ loc_std, T @ factor_std, meta)
+    coef, r_inv, rss = _linear_fit(Z, y, lam_hat)
+    # R is unique up to its rows' signs: take the Cholesky factor's, a positive diagonal
+    r_inv *= np.sign(np.diag(r_inv)) * math.sqrt(rss / df)
+    meta.update(lambda_hat=lam_hat, lambda_tilde=lam_tilde,
+                lambda_grid=[float(grid[0]), float(grid[-1])], cv_folds=RIDGE_CV_FOLDS,
+                outcome_sd=s_y)
+    return MultivariateTPosterior("bridge", df, T @ coef, T @ r_inv, meta)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ class SimDesign:
         if not (0.0 < self.alpha < 1.0):
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.methods:  # a study of no method would write only a header
+            raise InvalidParameterError("methods must name at least one method spec")
         for spec in self.methods:
             if self.methods.count(spec) > 1:
                 raise InvalidParameterError(f"method {spec!r} is listed twice")

@@ -166,6 +166,8 @@ class TestConfigFaults:
              "labeled side too small: 8 rows across 3 folds"),
             ("simulate", {**SMALL_STUDY, "n_unlabeled": 8, "methods": ["sup", "hbdmi:bols"]}, [],
              "unlabeled side too small: 8 rows across 3 folds"),
+            # every replication would run and study.csv would hold only its header
+            ("simulate", {**SMALL_STUDY, "methods": []}, [], "at least one method"),
         ],
         ids=["s-above-p", "kind", "slab-scale", "nuisance-estimate", "nuisance-compare",
              "nuisance-simulate", "constant-value", "simulate-labeled", "missing-labeled",
@@ -173,7 +175,8 @@ class TestConfigFaults:
              "constant-inf", "constant--inf", "constant-nan", "constant-1e400",
              "compare-method-flags", "compare-nuisance-file", "simulate-method-file",
              "simulate-nuisance-flag", "estimate-sup-nuisance", "compare-sup-nuisance",
-             "simulate-sup-nuisance", "simulate-n-fold-floor", "simulate-n-unlabeled-fold-floor"],
+             "simulate-sup-nuisance", "simulate-n-fold-floor", "simulate-n-unlabeled-fold-floor",
+             "simulate-no-methods"],
     )
     def test_exits_2_before_any_data(self, tmp_path, monkeypatch, capsys, command, config,
                                      flags, named):
@@ -216,20 +219,21 @@ def _assert_exits_2_before_any_data(tmp_path, monkeypatch, capsys, command, conf
     assert not list(tmp_path.glob("out*"))
 
 
-def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3, outcome_scale=1.0):
+def _synthetic_csvs(tmp_path, n=80, n_unlabeled=2000, p=2, seed=3, outcome_scale=1.0,
+                    features=lambda X: X):
     design = SimDesign(kind="correct", n=n, n_unlabeled=n_unlabeled, p=p, s=2, seed=seed)
     data = generate_dataset(design, RngStream(seed, 123))
     names = [f"x{j}" for j in range(p)]
     labeled = tmp_path / "labeled.csv"
     with open(labeled, "w") as fh:
         fh.write("y," + ",".join(names) + "\n")
-        for yi, row in zip(data.outcomes, data.features):
+        for yi, row in zip(data.outcomes, features(data.features)):
             cells = [repr(float(yi) * outcome_scale)] + [repr(float(v)) for v in row]
             fh.write(",".join(cells) + "\n")
     unlabeled = tmp_path / "unlabeled.csv"
     with open(unlabeled, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in data.unlabeled_features:
+        for row in features(data.unlabeled_features):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return str(labeled), str(unlabeled), data
 
@@ -403,6 +407,43 @@ class TestEstimateCommand:
         labeled = _write(tmp_path / "l.csv", "y,x1\n1,0\n2,1\n3,0\n")
         code = main(["estimate", "--labeled", labeled, "--method", "sup", "--alpha", "1.5"])
         assert code == 2
+
+
+FEATURE_TRANSFORMS = {
+    "shift-all-1e4": lambda X: X + 1e4,
+    "shift-one-1.7e9": lambda X: X + np.array([0.0, 1.7e9]),  # a Unix timestamp
+    "scale-1e-3": lambda X: X * 1e-3,
+    "scale-1e3": lambda X: X * 1e3,
+}
+
+
+@pytest.mark.parametrize("transform", list(FEATURE_TRANSFORMS))
+@pytest.mark.parametrize("nuisance", ["bols", "bridge"])
+def test_estimate_is_invariant_to_feature_offsets_and_units(tmp_path, nuisance, transform):
+    """bdmi's point estimate and interval do not move with a feature's offset or unit.
+
+    Both nuisances fit on centred, standardized columns.  The CSV holds a
+    cell to its 17 digits, that is to np.spacing of its size, a relative
+    error of spacing / sd in its feature; the report may move by that much,
+    or by 1e-12 of the fits' own rounding.  `spike` is left out for its
+    Gibbs run time.
+    """
+    def run(name, change):
+        (tmp_path / name).mkdir()
+        labeled, unlabeled, data = _synthetic_csvs(tmp_path / name, n=60, n_unlabeled=300,
+                                                   features=change)
+        out = tmp_path / name / "report.json"
+        assert main(["estimate", "--labeled", labeled, "--unlabeled", unlabeled,
+                     "--method", "bdmi", "--nuisance", nuisance, "--k", "3", "--m", "400",
+                     "--seed", "7", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["results"][f"bdmi:{nuisance}"]
+        return np.array([result["point_estimate"], *result["ci"]]), change(data.features)
+
+    base, _ = run("base", lambda X: X)
+    changed, features = run(transform, FEATURE_TRANSFORMS[transform])
+    moved = np.abs(changed - base).max() / np.abs(base).max()
+    digits = np.spacing(np.abs(features).max()) / features.std(axis=0).min()
+    assert moved <= max(digits, 1e-12), f"moved {moved:.3g} relative, digits allow {digits:.3g}"
 
 
 @pytest.fixture(scope="module")

@@ -84,6 +84,25 @@ class TestBols:
         with pytest.raises(SingularDesignError):
             fit_bols(X, gen.normal(size=20))
 
+    def test_constant_column_dropped(self):
+        # as bridge and spike drop it
+        gen = RNG.substream(51).generator()
+        X = gen.normal(size=(30, 3))
+        y = 1.0 + X[:, 0] + 0.1 * gen.normal(size=30)
+        X[:, 1] = 5.0
+        post = fit_bols(X, y)
+        assert post.metadata["dropped_columns"] == 1 and post.df == 30 - 2 - 1
+        assert post.location[2] == 0.0 and not post.scale_factor[2].any()
+        np.testing.assert_allclose(post.location[[0, 1, 3]],
+                                   fit_bols(X[:, [0, 2]], y).location, rtol=1e-12)
+
+    def test_all_constant_columns_fit_the_intercept(self):
+        y = np.arange(20.0)
+        post = fit_bols(np.ones((20, 2)), y)
+        assert post.df == 19 and post.metadata["dropped_columns"] == 2
+        assert post.location.tolist() == pytest.approx([9.5, 0.0, 0.0])
+        assert post.metadata["sigma_sq_scale"] == pytest.approx(np.var(y, ddof=1))
+
     def test_posterior_mean_matches_sampled_mean(self):
         gen = RNG.substream(6).generator()
         X = gen.normal(size=(40, 2))
@@ -429,36 +448,50 @@ def _rank_decision(fit, X, y):
 
 
 def _tolerance_ratio(X):
-    """sigma_min of the intercept-augmented design over the rank tolerance
-    max_j ||column j|| * max(m, d) * eps, from scipy's SVD of the design itself."""
-    design = np.column_stack([np.ones(X.shape[0]), X])
-    tol = np.linalg.norm(design, axis=0).max() * max(design.shape) * np.finfo(float).eps
-    return scipy.linalg.svdvals(design)[-1] / tol
+    """sigma_min of [1, Z], Z the standardized varying columns, over the rank
+    tolerance sqrt(m) * max(m, d) * eps, from scipy's SVD of that design."""
+    sdev = X.std(axis=0)
+    varying = X[:, sdev > 0]
+    design = np.column_stack([np.ones(X.shape[0]),
+                              (varying - varying.mean(axis=0)) / sdev[sdev > 0]])
+    m, d = design.shape
+    return scipy.linalg.svdvals(design)[-1] / (math.sqrt(m) * max(m, d) * np.finfo(float).eps)
+
+
+RANK_MESSAGE = "design matrix with intercept is rank deficient; consider the ridge method"
 
 
 @pytest.mark.parametrize("m,p", RANK_SIZES, ids=[f"{m}x{p}" for m, p in RANK_SIZES])
 def test_rank_decision_table(m, p):
-    """``fit_bols`` rejects exactly when sigma_min <= tolerance, and as the pivoted QR did.
+    """``fit_bols`` refuses by sigma_min of the standardized design, so no offset or unit moves it.
 
     Away from the threshold (ratio outside [0.8, 1.25]) the decision follows
-    the ratio.  Every design the pivoted QR rejected is still rejected, with
-    the same message, and outside [0.5, 1.25] the two decisions are equal.
-    Inside it the new test may reject where the old one accepted: sigma_min
-    <= min |r_ii| for any triangular R, so the pivoted diagonal can only
-    overstate sigma_min.
+    the ratio, and a refusal names the rank deficiency.  No design that the
+    column-pivoted QR of the raw [1, X] accepted is refused.  The decision is
+    the same when every column is rescaled by a power of two, which moves no
+    digit of the data, and at every offset whose rounding keeps a near-copy
+    distinct from its column: at 1e8 the data itself rounds a 1e-10
+    near-copy of a short design into an exact copy, which is rightly refused.
     """
+    units = 2.0 ** np.round(np.linspace(-20, 20, p))
     wrong = []
-    for offset, mixed, last in itertools.product(RANK_OFFSETS, [False, True], RANK_LAST_COLUMNS):
-        X, y = _rank_design(m, p, offset, mixed, last)
-        ratio = _tolerance_ratio(X)
-        new, old = _rank_decision(fit_bols, X, y), _rank_decision(bols_reference, X, y)
-        follows_ratio = 0.8 <= ratio <= 1.25 or (new is None) == (ratio > 1)
-        if 0.5 <= ratio <= 1.25:
-            matches_parent = old is None or new == old
-        else:
-            matches_parent = new == old
-        if not (follows_ratio and matches_parent):
-            wrong.append((offset, mixed, last, f"ratio {ratio:.3g}", new, old))
+    for mixed, last in itertools.product([False, True], RANK_LAST_COLUMNS):
+        at_zero = _rank_decision(fit_bols, *_rank_design(m, p, 0.0, mixed, last))
+        for offset in RANK_OFFSETS:
+            X, y = _rank_design(m, p, offset, mixed, last)
+            ratio = _tolerance_ratio(X)
+            new = _rank_decision(fit_bols, X, y)
+            checks = {
+                "follows the ratio": 0.8 <= ratio <= 1.25 or (new is None) == (ratio > 1),
+                "names the deficiency": new in (None, RANK_MESSAGE),
+                "accepts what the pivoted QR accepted":
+                    new is None or _rank_decision(bols_reference, X, y) is not None,
+                "unit-free": _rank_decision(fit_bols, X * units, y) == new,
+                "offset-free": new == at_zero or np.array_equal(X[:, -1], X[:, 0]),
+            }
+            failed = [name for name, ok in checks.items() if not ok]
+            if failed:
+                wrong.append((offset, mixed, last, f"ratio {ratio:.3g}", new, failed))
     assert not wrong
 
 

@@ -183,3 +183,58 @@ def test_a_changed_csv_report_says_how_far_it_moved(report_digest, tmp_path, cap
     assert "out/density.csv differs; largest relative difference 9.09e-13 at 1/density" in err
     code, payload, _ = _run(report_digest, capsys, a, checkout("c", 1.0))
     assert code == 0 and payload["workloads"]["one"]["moved"] == {}
+
+
+METHOD_WORKLOADS = """\
+WORKLOADS = {"one": {}}
+
+def cli_args(workload, seed, work):
+    return [workload, str(seed), work]
+
+def report_files(workload, work):
+    return [f"{work}/out/{name}" for name in
+            ("study.json", "study.csv", "density/density_bdmi_bols.csv",
+             "density/density_sup.csv")]
+"""
+
+# reports of two methods, as simulate writes them; a changed checkout moves bdmi:bols only
+METHOD_CLI = """\
+import json, pathlib, sys
+workload, seed, work = sys.argv[1:4]
+scale = {scale!r}
+out = pathlib.Path(work, "out")
+(out / "density").mkdir(parents=True)
+study = {{"config": {{"reps": 2}},
+          "metrics": {{"sup": {{"coverage": 0.95}}, "bdmi:bols": {{"coverage": 0.9 * scale}}}},
+          "rl_vs_supervised": {{"bdmi:bols": 0.8}}}}
+(out / "study.json").write_text(json.dumps(study))
+rows = ["method,replication,estimate", "sup,0,1.0", f"bdmi:bols,0,{{2.0 * scale!r}}"]
+(out / "study.csv").write_text("\\n".join(rows) + "\\n")
+for name, value in (("bdmi_bols", 0.5 * scale), ("sup", 0.25)):
+    text = f"replication,grid_point,density\\n0,1.5,{{value!r}}\\n"
+    (out / "density" / f"density_{{name}}.csv").write_text(text)
+"""
+
+
+def test_moves_are_reported_by_method(report_digest, tmp_path, capsys):
+    def checkout(name, scale):
+        root = _stub_checkout(tmp_path / name)
+        (root / "perfbench" / "workloads.py").write_text(METHOD_WORKLOADS)
+        (root / "src" / "ssmean" / "cli.py").write_text(METHOD_CLI.format(scale=scale))
+        return root
+
+    code, payload, _ = _run(report_digest, capsys, checkout("a", 1.0),
+                            checkout("b", 1.0 + 2.0**-40))
+    assert code == 1
+    moved = payload["workloads"]["one"]["moved"]
+    # the sup density is byte-identical, so it is not among the moved files
+    assert sorted(moved) == ["out/density/density_bdmi_bols.csv", "out/study.csv",
+                             "out/study.json"]
+    by_method = {name: entry["by_method"] for name, entry in moved.items()}
+    assert by_method["out/study.json"]["sup"] == 0.0
+    assert by_method["out/study.json"]["bdmi:bols"] == pytest.approx(2.0**-40, rel=1e-6)
+    assert by_method["out/study.csv"]["sup"] == 0.0
+    assert by_method["out/study.csv"]["bdmi:bols"] == pytest.approx(2.0**-40, rel=1e-6)
+    assert list(by_method["out/density/density_bdmi_bols.csv"]) == ["bdmi:bols"]
+    # a leaf outside every method, config/reps, is in no method's entry
+    assert set(by_method["out/study.json"]) == {"sup", "bdmi:bols"}

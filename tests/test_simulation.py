@@ -55,6 +55,10 @@ class TestDesign:
         with pytest.raises(InvalidParameterError, match=named):
             _design(methods=methods)
 
+    def test_empty_method_list_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one method"):
+            _design(methods=())
+
     def test_fold_floor_checked_only_with_folds(self):
         # sup and imp split no rows, so a design too small for 3 folds still runs them
         _design(n=8, n_unlabeled=8, methods=("sup", "imp:bols"))

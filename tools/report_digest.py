@@ -25,6 +25,11 @@ checkout's report and the same leaf of another's, and that leaf's path (keys
 and list indices joined by ``/``); a leaf that only some reports hold is
 left out.  A CSV's leaves are its cells that parse as numbers, at the path
 ``row/column``: the row's index after the header, and the column's header.
+Beside that leaf, ``by_method`` gives the largest relative difference per
+method spec, 0.0 for a spec whose leaves all match: a JSON leaf's spec is the
+key after ``results``, ``metrics`` or ``rl_vs_supervised`` in its path, a CSV
+leaf's the ``method`` cell of its row, and a density CSV's every leaf's the
+spec its file is named after.
 It exits 1, naming those files (or the failed command) on stderr, when the
 checkouts disagree or a command fails; a change that must keep every report
 byte for byte passes it with the parent commit and the change as the two
@@ -121,18 +126,38 @@ def numeric_leaves(value, path: str = ""):
         yield path, value
 
 
-def largest_move(documents: list) -> dict:
-    """The largest relative difference of a numeric leaf from the first document, and its leaf."""
+METHOD_KEYS = ("results", "metrics", "rl_vs_supervised")
+
+
+def method_of(name: str, document, path: str) -> str | None:
+    """The method spec a leaf of report `name` belongs to, or None."""
+    stem = Path(name).stem
+    if stem.startswith("density_"):  # density_<spec with ':' as '_'>.csv
+        return stem[len("density_"):].replace("_", ":")
+    parts = path.split("/")
+    if Path(name).suffix == ".csv":
+        spec = document[int(parts[0])].get("method")
+        return spec if isinstance(spec, str) else None
+    return next((spec for key, spec in zip(parts, parts[1:]) if key in METHOD_KEYS), None)
+
+
+def largest_move(name: str, documents: list) -> dict:
+    """The largest relative difference of a numeric leaf from the first document, its leaf,
+    and the largest per method spec."""
     first = dict(numeric_leaves(documents[0]))
-    largest = {"max_relative_difference": 0.0, "leaf": None}
+    largest = {"max_relative_difference": 0.0, "leaf": None, "by_method": {}}
+    by_method = largest["by_method"]
     for document in documents[1:]:
         for path, value in numeric_leaves(document):
             base = first.get(path)
-            if base is None or value == base:
+            if base is None:
                 continue
-            relative = abs(value - base) / max(abs(value), abs(base))
+            relative = 0.0 if value == base else abs(value - base) / max(abs(value), abs(base))
+            spec = method_of(name, documents[0], path)
+            if spec is not None:
+                by_method[spec] = max(by_method.get(spec, 0.0), relative)
             if relative > largest["max_relative_difference"]:
-                largest = {"max_relative_difference": relative, "leaf": path}
+                largest.update(max_relative_difference=relative, leaf=path)
     return largest
 
 
@@ -161,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             runs, documents = zip(*(digest_run(checkout, wl, workload, args.seed, work)
                                     for checkout, wl in zip(checkouts, modules)))
             differing = compare(runs)
-            moved = {name: largest_move([docs[name] for docs in documents])
+            moved = {name: largest_move(name, [docs[name] for docs in documents])
                      for name in differing if all(name in docs for docs in documents)}
             payload["workloads"][workload] = {"differing": differing, "moved": moved,
                                               "runs": list(runs)}
