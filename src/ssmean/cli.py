@@ -41,7 +41,7 @@ from .simulation import (
     run_methods,
     run_replications,
 )
-from .estimators import STARTS
+from .estimators import MIN_POSTERIOR_DRAWS, STARTS
 
 __all__ = ["RunConfig", "parse_config", "cmd_estimate", "cmd_compare", "cmd_simulate", "main"]
 
@@ -61,7 +61,7 @@ _KEYS = {
     "method": (_COMMANDS, "bdmi", str, ("estimate",)),
     "nuisance": (_COMMANDS, "bridge", str, ("estimate",)),
     "k": (_COMMANDS, 5, 2, _COMMANDS),
-    "m": (_COMMANDS, 1000, 100, _COMMANDS),
+    "m": (_COMMANDS, 1000, MIN_POSTERIOR_DRAWS, _COMMANDS),
     "alpha": (_COMMANDS, 0.05, float, _COMMANDS),
     "seed": (_COMMANDS, 1729, 0, _COMMANDS),
     "jobs": (_SIM, 1, 1, ()),

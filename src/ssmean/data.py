@@ -68,8 +68,8 @@ def _fold_labels(gen: np.random.Generator, count: int, n_folds: int) -> np.ndarr
     gen.shuffle(perm)
     base, rem = divmod(count, n_folds)
     labels = np.empty(count, dtype=np.min_scalar_type(n_folds - 1))
-    labels[perm] = np.repeat(np.arange(n_folds, dtype=labels.dtype),
-                             [base + (k < rem) for k in range(n_folds)])
+    for k in range(n_folds):  # a run at a time: numpy casts an index to intp before it assigns
+        labels[perm[k * base + min(k, rem) : (k + 1) * base + min(k + 1, rem)]] = k
     return labels
 
 

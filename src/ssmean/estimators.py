@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _blas
-from .data import Dataset, make_fold_plan, row_blocks
+from .data import MIN_FOLD_ROWS, Dataset, make_fold_plan, row_blocks
 from .errors import DimensionMismatchError, InsufficientDataError, InvalidParameterError, SsmeanError
 from .nuisance import Fitter
 from .rng import GENERATOR_NAME, RngStream
@@ -118,9 +118,10 @@ def fold_posterior(
     y = np.asarray(fold_outcomes, dtype=float)
     n_k = y.shape[0]
     n_u = fold_unlabeled.shape[0]
-    if n_k < 3 or n_u < 3:
+    if min(n_k, n_u) < MIN_FOLD_ROWS:
         raise InsufficientDataError(
-            f"fold {fold_id} needs >= 3 labeled and unlabeled rows, got ({n_k}, {n_u})"
+            f"fold {fold_id} needs >= {MIN_FOLD_ROWS} labeled and unlabeled rows, "
+            f"got ({n_k}, {n_u})"
         )
     mu_bias, scale_bias = _mean_and_scale_sq(y - _predict(draw, fold_features))
     mu_imp, scale_imp = _mean_and_scale_sq(_predict(draw, fold_unlabeled))
@@ -435,8 +436,10 @@ def supervised_posterior(
     n_draws = _check_draw_count(n_draws)
     y = data.outcomes
     n = y.shape[0]
-    if n < 3:
-        raise InsufficientDataError(f"supervised posterior needs >= 3 outcomes, got {n}")
+    if n < MIN_FOLD_ROWS:
+        raise InsufficientDataError(
+            f"supervised posterior needs >= {MIN_FOLD_ROWS} outcomes, got {n}"
+        )
     ybar = float(y.mean())
     comp = TComponent(df=n - 1, location=ybar, scale_sq=float(y.var(ddof=1)) / n)
     draws = sample_student_t(comp, n_draws, rng.substream(1))

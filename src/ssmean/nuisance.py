@@ -152,35 +152,25 @@ def _check_xy(features: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, n
     return X, y
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column standardization with population (1/m) variance; flags kept columns."""
+def _centred_problem(X: np.ndarray, y: np.ndarray) -> tuple:
+    """Z, the varying columns (flagged by keep) standardized with population (1/m) variance;
+    ybar, y - ybar, the map T from (intercept, Z's coefficients) to the raw scale, metadata,
+    and flat: whether no column varies or the outcome is constant (see _flat_fit)."""
     xbar = X.mean(axis=0)
     sdev = X.std(axis=0)
-    keep = sdev > 0
+    # a constant's mean, and so its sd, can be off by rounding; a spread below 1e-160 has sd 0
+    keep = (sdev > 0) & (X.max(axis=0) > X.min(axis=0))
     Z = (X[:, keep] - xbar[keep]) / sdev[keep]
-    return Z, xbar, sdev, keep
-
-
-def _original_scale_map(
-    xbar: np.ndarray, sdev: np.ndarray, keep: np.ndarray
-) -> np.ndarray:
-    """Linear map from (intercept, kept standardized coefs) to the original scale."""
     p = xbar.shape[0]
     k = int(keep.sum())
     T = np.zeros((p + 1, 1 + k))
     T[0, 0] = 1.0
     T[0, 1:] = -xbar[keep] / sdev[keep]
-    rows = np.flatnonzero(keep) + 1
-    T[rows, np.arange(1, 1 + k)] = 1.0 / sdev[keep]
-    return T
-
-
-def _centred_problem(X: np.ndarray, y: np.ndarray) -> tuple:
-    """Standardized kept columns and their flags, ybar, y - ybar, the map T and shape metadata."""
-    Z, xbar, sdev, keep = _standardize(X)
+    T[np.flatnonzero(keep) + 1, np.arange(1, 1 + k)] = 1.0 / sdev[keep]
     ybar = float(y.mean())
-    meta = {"n_rows": X.shape[0], "n_features": X.shape[1], "dropped_columns": int((~keep).sum())}
-    return Z, keep, ybar, y - ybar, _original_scale_map(xbar, sdev, keep), meta
+    flat = k == 0 or not (y.std() > 0 and y.max() > y.min())
+    meta = {"n_rows": X.shape[0], "n_features": p, "dropped_columns": p - k}
+    return Z, keep, ybar, y - ybar, T, meta, flat
 
 
 def _linear_fit(Z: np.ndarray, y: np.ndarray, lam: float) -> tuple:
@@ -208,6 +198,22 @@ def _linear_fit(Z: np.ndarray, y: np.ndarray, lam: float) -> tuple:
     return solved[:, 0], solved[:, 1:], float(r_aug[-1, -1]) ** 2
 
 
+def _flat_fit(method: str, Z: np.ndarray, y: np.ndarray, T: np.ndarray, meta: dict,
+              origin: float = 0.0) -> MultivariateTPosterior:
+    """Flat-prior t posterior of y on [1, Z] mapped by T: df = m - k - 1, s^2 = RSS / df.
+
+    With no varying column or a constant outcome every prior is flat on the intercept, and
+    each fitter returns this fit on (Z[:, :0], T[:, :1]) with origin y[0]: y - origin is
+    fitted, so a constant outcome fits exactly 0 and the fit is a point mass at (y[0], 0, ...).
+    """
+    m, k = Z.shape
+    coef, r_inv, rss = _linear_fit(Z, y - origin, 0.0)
+    coef[0] += origin
+    df = m - k - 1
+    meta.update(rss=rss, sigma_sq_scale=rss / df)  # (X'X)^{-1} = T R^{-1} R^{-T} T'
+    return MultivariateTPosterior(method, df, T @ coef, T @ (r_inv * math.sqrt(rss / df)), meta)
+
+
 def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     """Flat-prior Gaussian linear regression.
 
@@ -218,17 +224,17 @@ def fit_bols(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     exact fit (RSS = 0) degenerates to a point mass there.
     """
     X, y = _check_xy(features, outcomes)
-    m, p = X.shape
-    if m < p + 3:
+    Z, _, _, _, T, meta, flat = _centred_problem(X, y)
+    m, k = Z.shape
+    if m < k + 3:
         raise SingularDesignError(
-            f"flat-prior regression needs at least p + 3 = {p + 3} rows, got {m}; "
-            "consider the ridge method"
+            f"flat-prior regression needs at least k + 3 = {k + 3} rows for its {k} varying "
+            f"columns, got {m}; consider the ridge method"
         )
-    Z, _, _, _, T, meta = _centred_problem(X, y)
-    coef, r_inv, rss = _linear_fit(Z, y, 0.0)
-    df = m - Z.shape[1] - 1
-    meta.update(rss=rss, sigma_sq_scale=rss / df)  # (X'X)^{-1} = T R^{-1} R^{-T} T'
-    return MultivariateTPosterior("bols", df, T @ coef, T @ (r_inv * math.sqrt(rss / df)), meta)
+    if flat:
+        meta["degenerate"] = True
+        return _flat_fit("bols", Z[:, :0], y, T[:, :1], meta, y[0])
+    return _flat_fit("bols", Z, y, T, meta)
 
 
 def _ridge_cv_lambda(Z: np.ndarray, y_scaled: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -263,26 +269,21 @@ def fit_bridge(features: np.ndarray, outcomes: np.ndarray) -> NuisancePosterior:
     penalty back to the raw-outcome problem; form the conjugate
     normal-inverse-gamma posterior on the standardized design (flat prior on
     the intercept, df = m - 1); map location and scale back to the original
-    feature scale.  Zero-variance columns are dropped from the penalized
-    block and receive coefficient zero; the metadata's `dropped_columns`
-    counts them.
+    feature scale.  Constant columns get coefficient zero (`dropped_columns`
+    counts them); with none varying, or a constant outcome, the fit is
+    `fit_bols`' flat one on the intercept.
     """
     X, y = _check_xy(features, outcomes)
     m = X.shape[0]
     if m < 5:
         raise InsufficientDataError(f"ridge regression needs at least 5 rows, got {m}")
-    Z, _, ybar, _, T, meta = _centred_problem(X, y)
-    k = Z.shape[1]
-    if k == 0:  # no columns, or none that varies
-        raise ValidationError("ridge regression needs a feature column with nonzero variance")
+    Z, _, _, _, T, meta, flat = _centred_problem(X, y)
+    if flat:
+        # no penalty is chosen: the report writes null, and "degenerate" gives the reason
+        meta.update(lambda_hat=None, degenerate=True)
+        return _flat_fit("bridge", Z[:, :0], y, T[:, :1], meta, y[0])
     s_y = float(y.std())
     df = m - 1
-
-    if s_y == 0.0:
-        loc = T @ np.concatenate([[ybar], np.zeros(k)])
-        # no penalty is chosen: the report writes null, and "degenerate" gives the reason
-        meta.update({"lambda_hat": None, "degenerate": True})
-        return _point_mass("bridge", loc, df, meta)
 
     y_scaled = y / s_y
     lam_max = float(np.max(np.abs(Z.T @ (y_scaled - y_scaled.mean())))) / m
@@ -334,7 +335,8 @@ def fit_spike_slab(
     coefficients get a N(0, g * sigma^2) slab with g defaulting to the row
     count; excluded coefficients are exactly zero; sigma^2 carries a weakly
     informative inverse-gamma prior.  Features are standardized internally
-    and retained sweeps are mapped back to the original scale.
+    and retained sweeps are mapped back to the original scale.  With no
+    varying column, or a constant outcome, the fit is `fit_bols`' flat one.
 
     Coordinates are updated on the Gram matrix G = Z'Z (George & McCulloch
     1993): the sweep tracks Z'r rather than the residual r, so a coordinate
@@ -352,19 +354,12 @@ def fit_spike_slab(
     m, p = X.shape
     if m < 10:
         raise InsufficientDataError(f"spike-and-slab needs at least 10 rows, got {m}")
-    Z, keep, ybar, y_c, T, meta = _centred_problem(X, y)
+    Z, keep, ybar, y_c, T, meta, flat = _centred_problem(X, y)
     k = Z.shape[1]
     meta.update(burn_in=config.burn_in, sweeps=config.sweeps)
-    inclusion = np.zeros(p)  # per original column; dropped columns stay at 0
-
-    s_y = float(y.std())
-    y_var = float(np.var(y_c))
-    if s_y == 0.0 or k == 0:
-        loc = T @ np.concatenate([[ybar], np.zeros(k)])
-        meta["degenerate"] = True
-        meta["inclusion_frequency_max"] = 0.0
-        meta["inclusion_frequency"] = inclusion.tolist()
-        return _point_mass("spike_slab", loc, float(m - 1), meta)
+    if flat:
+        meta.update(degenerate=True, inclusion_frequency_max=0.0, inclusion_frequency=[0.0] * p)
+        return _flat_fit("spike_slab", Z[:, :0], y, T[:, :1], meta, y[0])
 
     g_slab = float(config.slab_scale) if config.slab_scale is not None else float(m)
     a0 = b0 = 0.001
@@ -386,7 +381,7 @@ def fit_spike_slab(
     beta = [0.0] * k
     gamma = [False] * k
     w = 0.5
-    sigma_sq = max(y_var, 1e-12)
+    sigma_sq = max(float(np.var(y_c)), 1e-12)
     zr = Z.T @ y_c
 
     total = config.burn_in + config.sweeps
@@ -437,6 +432,7 @@ def fit_spike_slab(
                 kept_sigma[idx] = sigma_sq
                 kept_gamma[idx] = gamma
 
+    inclusion = np.zeros(p)  # per original column; dropped columns stay at 0
     inclusion[keep] = kept_gamma.mean(axis=0)
     draws_std[:, 0] = ybar + np.sqrt(kept_sigma / m) * gen.standard_normal(config.sweeps)
     draws = draws_std @ T.T

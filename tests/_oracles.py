@@ -33,11 +33,10 @@ from ssmean.nuisance import (
     RIDGE_GRID_SIZE,
     GibbsConfig,
     MultivariateTPosterior,
+    _centred_problem,
     _check_xy,
-    _original_scale_map,
     _point_mass,
     _ridge_cv_lambda,
-    _standardize,
 )
 from ssmean.rng import RngStream
 from ssmean.simulation import SimDesign, _constants
@@ -126,11 +125,8 @@ def spike_slab_reference(features, outcomes, config=None, rng=None):
     m, p = X.shape
     if m < 10:
         raise InsufficientDataError(f"spike-and-slab needs at least 10 rows, got {m}")
-    Z, xbar, sdev, keep = _standardize(X)
+    Z, keep, ybar, y_c, T, _, _ = _centred_problem(X, y)
     k = Z.shape[1]
-    ybar = float(y.mean())
-    y_c = y - ybar
-    T = _original_scale_map(xbar, sdev, keep)
 
     if float(y.std()) == 0.0 or k == 0:
         loc = T @ np.concatenate([[ybar], np.zeros(k)])
@@ -287,7 +283,7 @@ def bridge_reference(features, outcomes, penalty=None):
         raise InsufficientDataError(f"ridge regression needs at least 5 rows, got {m}")
     if p < 1:
         raise ValidationError("ridge regression needs at least one feature column")
-    Z, xbar, sdev, keep = _standardize(X)
+    Z, keep, ybar, y_c, T, _, _ = _centred_problem(X, y)
     if not keep.any():
         raise ValidationError("all feature columns have zero variance")
     if not keep.all():
@@ -297,11 +293,8 @@ def bridge_reference(features, outcomes, penalty=None):
             stacklevel=2,
         )
     k = Z.shape[1]
-    ybar = float(y.mean())
-    y_c = y - ybar
     s_y = float(y.std())
     df = m - 1
-    T = _original_scale_map(xbar, sdev, keep)
     meta: dict = {"n_rows": m, "n_features": p, "dropped_columns": int((~keep).sum())}
 
     if s_y == 0.0:
@@ -354,8 +347,8 @@ def bridge_reference(features, outcomes, penalty=None):
     post = MultivariateTPosterior("bridge", df, T @ loc_std, T @ factor_std, meta)
     # standardized-scale state, kept for algebraic round-trip checks
     post._loc_std = loc_std
-    post._xbar = xbar
-    post._sdev = sdev
+    post._xbar = X.mean(axis=0)
+    post._sdev = X.std(axis=0)
     post._keep = keep
     return post
 

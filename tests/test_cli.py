@@ -706,6 +706,74 @@ def test_an_overflow_prints_one_line_and_no_warning(tmp_path, probe):
         assert "replication 0, method sup:" in lines[0], done.stderr
 
 
+ADVERSARIAL_SPECS = [f"{family}:{nuisance}" for family in ("imp", "bdmi", "hbdmi")
+                     for nuisance in ("bols", "bridge", "spike")]
+# the text of each design's bols refusal; the other designs fit every spec
+ADVERSARIAL_REFUSALS = {"constant-and-duplicate": "rank deficient", "70-features": "k + 3 = 73"}
+
+
+def _adversarial_csvs(directory, design):
+    """60 labeled and 600 unlabeled rows of a design from ROADMAP's adversarial table."""
+    gen = np.random.default_rng(11)
+    X = gen.normal(size=(660, 70 if design == "70-features" else 3))
+    y = 1.0 + X[:, :3] @ [1.0, 0.5, -0.25] + gen.normal(size=660)
+    if design == "every-feature-constant":
+        X[:] = [1.0, -2.5, 3.3]  # 3.3's mean over a fold's rows rounds away from 3.3
+    elif design == "constant-and-duplicate":
+        X[:, 1], X[:, 2] = 4.0, X[:, 0]
+    elif design == "constant-outcome":
+        y[:] = 2.7
+    elif design == "exact-linear-fit":
+        y = 1.0 + X @ [1.0, 2.0, -1.0]
+    header = ",".join(f"x{j}" for j in range(X.shape[1]))
+    labeled, unlabeled = directory / "labeled.csv", directory / "unlabeled.csv"
+    labeled.write_text(f"y,{header}\n" + "".join(
+        ",".join(map(repr, [float(yi), *map(float, row)])) + "\n" for yi, row in zip(y, X[:60])))
+    unlabeled.write_text(f"{header}\n" + "".join(
+        ",".join(map(repr, map(float, row))) + "\n" for row in X[60:]))
+    return str(labeled), str(unlabeled)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("design", ["every-feature-constant", "constant-and-duplicate",
+                                    "constant-outcome", "exact-linear-fit", "70-features"])
+def test_fitter_rows_of_the_adversarial_table(tmp_path, design):
+    """Every spec fits or exits 4 with one line; a design with no varying column fits all nine."""
+    labeled, unlabeled = _adversarial_csvs(tmp_path, design)
+    refused = ADVERSARIAL_REFUSALS.get(design)
+    fitted = [spec for spec in ADVERSARIAL_SPECS if refused is None or "bols" not in spec]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"labeled": labeled, "unlabeled": unlabeled, "methods": fitted,
+                                  "gibbs_burn_in": 100, "gibbs_sweeps": 200}))
+    out = tmp_path / "report.json"
+    done = _python("-m", "ssmean.cli", "compare", "--config", str(config), "--out", str(out),
+                   cwd=tmp_path)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    lengths = {spec: result["ci_length"]
+               for spec, result in _strict_json(out.read_text())["results"].items()}
+    assert sorted(lengths) == sorted(["sup", *fitted])
+    if design == "every-feature-constant":
+        assert all(0.8 <= lengths[spec] / lengths["sup"] <= 1.5 for spec in fitted), lengths
+    elif design == "constant-outcome":
+        # 2.7's mean over 60 rows rounds away from 2.7, so sup and hbdmi keep an ulp or two
+        assert all(length <= 4 * np.spacing(2.7) for length in lengths.values()), lengths
+    elif design == "exact-linear-fit":
+        assert all(lengths[spec] > 0 for spec in fitted if not spec.startswith("imp")), lengths
+    for spec in sorted(set(ADVERSARIAL_SPECS) - set(fitted)):
+        family, nuisance = spec.split(":")
+        done = _python("-m", "ssmean.cli", "estimate", "--labeled", labeled, "--unlabeled",
+                       unlabeled, "--method", family, "--nuisance", nuisance, cwd=tmp_path)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 4 and len(lines) == 1, done.stderr
+        assert lines[0].startswith("ssmean: numerical failure:") and refused in lines[0]
+
+
 def test_cli_and_fits_load_no_scipy():
     # importing scipy.linalg would add about 0.4 s to every command's start, and
     # numpy.ma (which np.quantile loads through np.unique) 12-18 ms

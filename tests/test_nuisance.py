@@ -96,6 +96,11 @@ class TestBols:
         np.testing.assert_allclose(post.location[[0, 1, 3]],
                                    fit_bols(X[:, [0, 2]], y).location, rtol=1e-12)
 
+    def test_floor_counts_only_the_varying_columns(self):
+        X = np.column_stack([np.arange(5.0), np.ones(5), np.full(5, 2.0)])
+        post = fit_bols(X, np.array([1.0, 3.0, 2.0, 5.0, 4.0]))
+        assert post.df == 5 - 1 - 1 and post.metadata["dropped_columns"] == 2
+
     def test_all_constant_columns_fit_the_intercept(self):
         y = np.arange(20.0)
         post = fit_bols(np.ones((20, 2)), y)
@@ -192,8 +197,19 @@ class TestBridge:
         np.testing.assert_allclose(draw[1:], 0.0, atol=1e-12)
 
     def test_all_constant_features_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_bridge(np.ones((20, 2)), np.arange(20.0))
+        # no column varies: every prior is flat on the intercept, so all three fits agree
+        X, y = np.ones((20, 2)), np.arange(20.0)
+        flat = fit_bols(X, y)
+        cov = flat.scale_factor @ flat.scale_factor.T
+        fits = {"bridge": fit_bridge(X, y),
+                "spike": fit_spike_slab(X, y, QUICK_GIBBS, RNG.substream(34))}
+        for post in fits.values():
+            assert post.df == flat.df == 19 and post.metadata["degenerate"]
+            np.testing.assert_allclose(post.location, flat.location, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(post.scale_factor @ post.scale_factor.T, cov,
+                                       rtol=0, atol=1e-12)
+        assert fits["bridge"].metadata["lambda_hat"] is None
+        assert fits["spike"].metadata["inclusion_frequency"] == [0.0, 0.0]
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
@@ -532,6 +548,32 @@ def test_one_input_contract_for_every_fitter(name, case, error, message):
     with pytest.raises(error) as caught:
         _FITTERS[name](X, y)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("name", list(_FITTERS))
+def test_constant_outcome_with_a_duplicated_column_is_a_point_mass(name):
+    # 2.7's mean over 20 rows rounds away from 2.7, so the outcome's sd is not 0
+    gen = RNG.substream(47).generator()
+    X = gen.normal(size=(20, 3))
+    X[:, 2] = X[:, 0]
+    y = np.full(20, 2.7)
+    assert y.std() > 0
+    post = _FITTERS[name](X, y)
+    assert post.metadata["degenerate"] and post.df == 19
+    assert post.location.tolist() == [2.7, 0.0, 0.0, 0.0] and not post.scale_factor.any()
+
+
+@pytest.mark.parametrize("name", list(_FITTERS))
+def test_a_constant_column_is_dropped_whatever_its_mean_rounds_to(name):
+    # 3.3's mean over 30 rows rounds away from 3.3, so the column's sd is not 0
+    gen = RNG.substream(48).generator()
+    X = gen.normal(size=(30, 2))
+    y = X[:, 0] + gen.normal(size=30)
+    with_constant = np.column_stack([X, np.full(30, 3.3)])
+    assert with_constant[:, 2].std() > 0
+    post, without = _FITTERS[name](with_constant, y), _FITTERS[name](X, y)
+    assert post.metadata["dropped_columns"] == 1 and post.posterior_mean()[3] == 0.0
+    np.testing.assert_allclose(post.posterior_mean()[:3], without.posterior_mean(), rtol=1e-12)
 
 
 class TestFixtures:

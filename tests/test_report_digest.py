@@ -238,3 +238,35 @@ def test_moves_are_reported_by_method(report_digest, tmp_path, capsys):
     assert list(by_method["out/density/density_bdmi_bols.csv"]) == ["bdmi:bols"]
     # a leaf outside every method, config/reps, is in no method's entry
     assert set(by_method["out/study.json"]) == {"sup", "bdmi:bols"}
+
+
+# a changed checkout's report gains one key and loses another, every shared leaf equal
+KEYS_CLI = """\
+import json, pathlib, sys
+workload, seed, work = sys.argv[1:4]
+fit = {{"df": 19.0, "lambda_hat": None}}
+fit.update({extra!r})
+fit.pop({dropped!r}, None)
+out = pathlib.Path(work, "out")
+out.mkdir()
+(out / "report.json").write_text(json.dumps({{"work": work, "results": {{"imp:bridge": fit}}}}))
+"""
+
+
+def test_added_and_removed_leaves_are_named(report_digest, tmp_path, capsys):
+    def checkout(name, extra, dropped):
+        root = _stub_checkout(tmp_path / name)
+        (root / "perfbench" / "workloads.py").write_text(JSON_WORKLOADS)
+        (root / "src" / "ssmean" / "cli.py").write_text(
+            KEYS_CLI.format(extra=extra, dropped=dropped))
+        return root
+
+    code, payload, err = _run(report_digest, capsys, checkout("a", {}, None),
+                              checkout("b", {"rss": 2.5, "degenerate": True}, "lambda_hat"))
+    assert code == 1
+    moved = payload["workloads"]["one"]["moved"]["out/report.json"]
+    assert moved["max_relative_difference"] == 0.0 and moved["leaf"] is None
+    assert moved["added"] == ["results/imp:bridge/degenerate", "results/imp:bridge/rss"]
+    assert moved["removed"] == ["results/imp:bridge/lambda_hat"]
+    assert "out/report.json differs; largest relative difference 0 at None; " \
+           "2 leaves added, 1 removed" in err

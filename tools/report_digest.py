@@ -22,9 +22,12 @@ digests, and the files whose digests differ.  For a differing ``.json`` or
 ``.csv`` report it also gives how far it moved: the largest relative
 difference |b - a| / max(|a|, |b|) between a numeric leaf of the first
 checkout's report and the same leaf of another's, and that leaf's path (keys
-and list indices joined by ``/``); a leaf that only some reports hold is
-left out.  A CSV's leaves are its cells that parse as numbers, at the path
-``row/column``: the row's index after the header, and the column's header.
+and list indices joined by ``/``).  A leaf is a number, a string, a boolean
+or a null; ``added`` lists the leaves a later report holds and the first does
+not, and ``removed`` those the first holds and a later one does not, so a
+change that only adds or drops keys names them.  A CSV's leaves are its
+cells, at the path ``row/column``: the row's index after the header, and the
+column's header; a cell that parses as a number is one.
 Beside that leaf, ``by_method`` gives the largest relative difference per
 method spec, 0.0 for a spec whose leaves all match: a JSON leaf's spec is the
 key after ``results``, ``metrics`` or ``rl_vs_supervised`` in its path, a CSV
@@ -114,16 +117,20 @@ def read_report(path: Path):
                 for row in csv.DictReader(handle)]
 
 
-def numeric_leaves(value, path: str = ""):
-    """(path, number) for every number in a parsed JSON value; booleans are not numbers."""
+def leaves(value, path: str = ""):
+    """(path, value) for every number, string, boolean and null in a parsed JSON value."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from numeric_leaves(item, f"{path}/{key}" if path else str(key))
+            yield from leaves(item, f"{path}/{key}" if path else str(key))
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            yield from numeric_leaves(item, f"{path}/{index}" if path else str(index))
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield from leaves(item, f"{path}/{index}" if path else str(index))
+    else:
         yield path, value
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 METHOD_KEYS = ("results", "metrics", "rl_vs_supervised")
@@ -143,14 +150,18 @@ def method_of(name: str, document, path: str) -> str | None:
 
 def largest_move(name: str, documents: list) -> dict:
     """The largest relative difference of a numeric leaf from the first document, its leaf,
-    and the largest per method spec."""
-    first = dict(numeric_leaves(documents[0]))
+    the largest per method spec, and the leaves added and removed after the first."""
+    first = dict(leaves(documents[0]))
     largest = {"max_relative_difference": 0.0, "leaf": None, "by_method": {}}
     by_method = largest["by_method"]
+    added, removed = set(), set()
     for document in documents[1:]:
-        for path, value in numeric_leaves(document):
+        later = dict(leaves(document))
+        added |= later.keys() - first.keys()
+        removed |= first.keys() - later.keys()
+        for path, value in later.items():
             base = first.get(path)
-            if base is None:
+            if not (is_number(value) and is_number(base)):
                 continue
             relative = 0.0 if value == base else abs(value - base) / max(abs(value), abs(base))
             spec = method_of(name, documents[0], path)
@@ -158,6 +169,7 @@ def largest_move(name: str, documents: list) -> dict:
                 by_method[spec] = max(by_method.get(spec, 0.0), relative)
             if relative > largest["max_relative_difference"]:
                 largest.update(max_relative_difference=relative, leaf=path)
+    largest.update(added=sorted(added), removed=sorted(removed))
     return largest
 
 
@@ -199,9 +211,11 @@ def main(argv: list[str] | None = None) -> int:
                 ok = False
                 how_far = ""
                 if name in moved:
+                    entry = moved[name]
                     how_far = (f"; largest relative difference "
-                               f"{moved[name]['max_relative_difference']:.3g} "
-                               f"at {moved[name]['leaf']}")
+                               f"{entry['max_relative_difference']:.3g} at {entry['leaf']}; "
+                               f"{len(entry['added'])} leaves added, "
+                               f"{len(entry['removed'])} removed")
                 print(f"report_digest: {workload}: {name} differs{how_far}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return 0 if ok else 1
